@@ -210,15 +210,11 @@ def _run_policy(cfg: ExperimentConfig):
     source, fixed_instance = _build_source(cfg)
     policy = _build_policy(cfg, fixed_instance)
     trace = online.run(source, policy, cfg.limits)
-    inst = trace.instance
-    steps = []
-    for snap in trace.snapshots:
-        metrics_k = core.evaluate(snap.plan, range(1, max(snap.plan) + 1), inst)
-        fb, mb = core.rationality_bounds(inst, snap.k)
-        steps.append(
-            (snap.k, snap.time, metrics_k.flowtime, metrics_k.makespan, fb, mb,
-             snap.flow_ok, snap.make_ok, snap.fallback)
-        )
+    steps = [
+        (snap.k, snap.time, snap.metrics.flowtime, snap.metrics.makespan, *snap.bounds,
+         snap.flow_ok, snap.make_ok, snap.fallback)
+        for snap in trace.snapshots
+    ]
     report = Report(
         policy_name=policy.name,
         mode=policy.mode,
@@ -479,7 +475,9 @@ def main(argv=None) -> int:
         elif args.verb == "ratio":
             cmd_ratio(_config_from(args))
         elif args.verb == "sweep":
-            cfg = _config_from(args) if (args.family or args.map or args.graph) else ExperimentConfig("line")
+            if not (args.family or args.map or args.graph):
+                args.family = "line"
+            cfg = _config_from(args)
             if cfg.source_kind != "line":
                 raise ConfigError("sweep supports --family line")
             m_list = [int(tok) for tok in args.m_list.split(",") if tok]

@@ -15,6 +15,7 @@ Timing conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,22 +165,28 @@ def detect_conflicts(plan: Plan, inst: OnlineInstance | None = None) -> list[Con
     A vertex conflict needs both agents to actually occupy the vertex
     (arrivals do not occupy). An edge conflict is two agents traversing one
     edge in opposite directions in the same step; final moves count.
+
+    One pass indexes every occupied ``(vertex, t)`` cell and every
+    ``(u, v, t)`` move with its owners in id order, so the cost is linear in
+    the total path length plus the number of conflicts.
     """
-    ids = sorted(plan)
+    cells = defaultdict(list)
+    moves = defaultdict(list)
+    for i in sorted(plan):
+        path = plan[i]
+        for offset in range(len(path.vertices) - 1):
+            cells[(path.vertices[offset], path.start_time + offset)].append(i)
+        for move in path.moves():
+            moves[move].append(i)
     conflicts = []
-    for a_pos, i in enumerate(ids):
-        pi = plan[i]
-        for j in ids[a_pos + 1:]:
-            pj = plan[j]
-            lo = max(pi.start_time, pj.start_time)
-            hi = min(pi.arrival_time - 1, pj.arrival_time - 1)
-            for t in range(lo, hi + 1):
-                vi = occupancy(pi, t)
-                if vi is not None and vi == occupancy(pj, t):
-                    conflicts.append(Conflict("vertex", (i, j), t, vi))
-            moves_j = {(u, v, t) for u, v, t in pj.moves()}
-            for u, v, t in pi.moves():
-                if (v, u, t) in moves_j:
+    for (v, t), owners in cells.items():
+        for a_pos, i in enumerate(owners):
+            for j in owners[a_pos + 1:]:
+                conflicts.append(Conflict("vertex", (i, j), t, v))
+    for (u, v, t), owners in moves.items():
+        for j in moves.get((v, u, t), ()):
+            for i in owners:
+                if i < j:
                     conflicts.append(Conflict("edge", (i, j), t, (u, v)))
     conflicts.sort(key=lambda c: (c.time, c.agents, c.kind, str(c.location)))
     return conflicts

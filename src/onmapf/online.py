@@ -14,6 +14,14 @@ every event. Commitment semantics:
   position, an agent that already arrived keeps its path, and any agent still
   off the graph (including one whose committed start lies in the future) may
   be rescheduled freely from the current time on.
+
+``run`` owns one reservation table (a :class:`DynamicObstacleSet`) for the
+whole run. Each committed path is added to it once, in id order, and the
+single-agent planner, the ``new``-mode joint planner and the per-agent
+rationalization cap all read it. It is rebuilt from the committed plan only
+where committed paths are replaced rather than added: after a rationalization
+fallback and after an ``all``-mode replan. After every event it holds exactly
+the reservations of the committed plan, never those of a rejected candidate.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .core import (
 from .errors import ProtocolViolation
 from .search import (
     DEFAULT_LIMITS,
+    DynamicObstacleSet,
     JointTask,
     SearchLimits,
     build_obstacles,
@@ -197,14 +206,23 @@ class InstanceSource(RevealSource):
 
 @dataclass
 class Snapshot:
-    """Committed plan right after one release event, plus its bound checks."""
+    """Committed plan right after one release event, with its metrics over the
+    revealed agents and the event's ``(flow_bound, make_bound)`` ceilings."""
 
     k: int
     time: int
     plan: Plan
-    flow_ok: bool
-    make_ok: bool
+    metrics: Metrics
+    bounds: tuple[int, int]
     fallback: bool
+
+    @property
+    def flow_ok(self) -> bool:
+        return self.metrics.flowtime <= self.bounds[0]
+
+    @property
+    def make_ok(self) -> bool:
+        return self.metrics.makespan <= self.bounds[1]
 
 
 @dataclass
@@ -230,6 +248,7 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
         limits = DEFAULT_LIMITS
     graph = source.graph()
     committed: Plan = {}
+    obstacles = DynamicObstacleSet()
     revealed: list[Agent] = []
     trace_snapshots: list[Snapshot] = []
     k = 0
@@ -255,7 +274,8 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
         before = dict(committed)
         prev_makespan = max((p.arrival_time for p in before.values()), default=0)
 
-        _plan_event(committed, graph, inst_now, new_agents, time_k, policy, limits, prev_makespan)
+        _plan_event(committed, obstacles, graph, inst_now, new_agents, time_k, policy, limits,
+                    prev_makespan)
 
         fallback = False
         if policy.rationalized and policy.mode != "new-single":
@@ -269,20 +289,12 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
                 committed.update(before)
                 _route_sequentially(committed, graph, new_agents, max(time_k, prev_makespan))
                 fallback = True
+        if fallback or policy.mode == "all":
+            obstacles = build_obstacles(committed)
 
-        revealed_ids = range(1, len(revealed) + 1)
-        metrics_k = evaluate(committed, revealed_ids, inst_now)
-        flow_bound, make_bound = rationality_bounds(inst_now, k)
-        trace_snapshots.append(
-            Snapshot(
-                k,
-                time_k,
-                dict(committed),
-                metrics_k.flowtime <= flow_bound,
-                metrics_k.makespan <= make_bound,
-                fallback,
-            )
-        )
+        metrics_k = evaluate(committed, range(1, len(revealed) + 1), inst_now)
+        bounds = rationality_bounds(inst_now, k)
+        trace_snapshots.append(Snapshot(k, time_k, dict(committed), metrics_k, bounds, fallback))
         source.observe(time_k, dict(committed))
 
     instance = OnlineInstance(graph, tuple(revealed))
@@ -303,15 +315,20 @@ def check_global_bounds(trace: SimulationTrace, inst: OnlineInstance) -> tuple[b
 # per-event planning
 
 
-def _plan_event(committed, graph, inst_now, new_agents, time_k, policy, limits, prev_makespan):
+def _commit(committed, obstacles, agent_id, path):
+    committed[agent_id] = path
+    obstacles.add_path(agent_id, path)
+
+
+def _plan_event(committed, obstacles, graph, inst_now, new_agents, time_k, policy, limits,
+                prev_makespan):
     if policy.planner == "sequence":
-        _plan_single_agents(committed, graph, inst_now, new_agents, policy, limits, "sequence")
+        _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, "sequence")
     elif policy.planner == "custom":
-        _plan_custom(committed, graph, inst_now, new_agents, time_k, policy)
+        _plan_custom(committed, obstacles, graph, inst_now, new_agents, time_k, policy)
     elif policy.mode == "new-single":
-        _plan_single_agents(committed, graph, inst_now, new_agents, policy, limits, "min-arrival")
+        _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, "min-arrival")
     elif policy.mode == "new":
-        obstacles = build_obstacles(committed)
         sub = offline_optimal(
             graph,
             new_agents,
@@ -321,12 +338,13 @@ def _plan_event(committed, graph, inst_now, new_agents, time_k, policy, limits, 
             start_time=time_k,
             fixed_makespan=prev_makespan,
         )
-        committed.update(sub)
+        for agent_id in sorted(sub):
+            _commit(committed, obstacles, agent_id, sub[agent_id])
     else:
         _replan_all(committed, graph, inst_now, new_agents, time_k, policy, limits, prev_makespan)
 
 
-def _plan_single_agents(committed, graph, inst_now, new_agents, policy, limits, kind):
+def _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, kind):
     """Plan newly revealed agents one at a time in id order, treating every
     already-planned agent as a dynamic obstacle."""
     for agent in new_agents:
@@ -334,20 +352,20 @@ def _plan_single_agents(committed, graph, inst_now, new_agents, policy, limits, 
         if kind == "sequence":
             path = sequence_step(prev_arrival, agent, graph)
         else:
-            obstacles = build_obstacles(committed)
             path = plan_min_arrival(graph, agent, obstacles, agent.release, limits)
         if policy.rationalized:
-            path = _cap_single_path(path, agent, graph, prev_arrival, committed)
-        committed[agent.id] = path
+            path = _cap_single_path(path, agent, graph, prev_arrival, obstacles)
+        _commit(committed, obstacles, agent.id, path)
 
 
-def _cap_single_path(path, agent, graph, prev_arrival, committed):
+def _cap_single_path(path, agent, graph, prev_arrival, obstacles):
     """Per-agent rationalization: a candidate may not arrive later than the
-    sequential route would, and must fit the commitments; otherwise that
-    route (which starts after every committed arrival) replaces it."""
+    sequential route would, and must fit the commitments in ``obstacles``;
+    otherwise that route (which starts after every committed arrival)
+    replaces it."""
     dist = shortest_dist(graph, agent.start, agent.goal)
     limit = max(agent.release, prev_arrival) + dist
-    if path.arrival_time > limit or _collides(path, build_obstacles(committed)):
+    if path.arrival_time > limit or _collides(path, obstacles):
         return sequence_step(prev_arrival, agent, graph)
     return path
 
@@ -359,7 +377,7 @@ def _collides(path, obstacles) -> bool:
     return any(not obstacles.swap_free(u, v, t) for u, v, t in path.moves())
 
 
-def _plan_custom(committed, graph, inst_now, new_agents, time_k, policy):
+def _plan_custom(committed, obstacles, graph, inst_now, new_agents, time_k, policy):
     ctx = CustomContext(graph, time_k, tuple(new_agents), dict(committed), inst_now)
     produced = policy.custom(ctx)
     new_ids = {a.id for a in new_agents}
@@ -370,8 +388,8 @@ def _plan_custom(committed, graph, inst_now, new_agents, time_k, policy):
         core.validate_path(path, agent, graph)
         if policy.rationalized and policy.mode == "new-single":
             prev_arrival = max((p.arrival_time for p in committed.values()), default=0)
-            path = _cap_single_path(path, agent, graph, prev_arrival, committed)
-        committed[agent.id] = path
+            path = _cap_single_path(path, agent, graph, prev_arrival, obstacles)
+        _commit(committed, obstacles, agent.id, path)
 
 
 def _route_sequentially(committed, graph, agents, start_at):

@@ -49,6 +49,11 @@ class DynamicObstacleSet:
     A path reserves its vertex for every step it actually occupies it, i.e.
     [start, arrival), and reserves the edge of every move, including the final
     move into the goal, for the step it departs on.
+
+    The set is a cooperative-A* reservation table: ``online.run`` owns one,
+    extends it with ``add_path`` as each path is committed, and rebuilds it
+    only where committed paths are replaced (a rationalization fallback or an
+    ``all``-mode replan).
     """
 
     def __init__(self):
@@ -76,13 +81,11 @@ class DynamicObstacleSet:
         return len(self.vertex_reservations) + len(self.edge_reservations)
 
 
-def build_obstacles(plan: Plan, excluded=(), inst=None) -> DynamicObstacleSet:
-    """Reservations for every planned agent not in ``excluded``."""
+def build_obstacles(plan: Plan) -> DynamicObstacleSet:
+    """Reservations for every planned agent, added in id order."""
     obstacles = DynamicObstacleSet()
-    excluded = set(excluded)
     for agent_id in sorted(plan):
-        if agent_id not in excluded:
-            obstacles.add_path(agent_id, plan[agent_id])
+        obstacles.add_path(agent_id, plan[agent_id])
     return obstacles
 
 

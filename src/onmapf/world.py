@@ -29,9 +29,6 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
     _dist_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def dist_from(self, source: int) -> list[int]:
         """BFS distance map from ``source``, memoized."""
         cached = self._dist_cache.get(source)

@@ -99,6 +99,15 @@ def test_sweep_values_and_monotone_check(capsys):
     assert "monotone-ratio-check: ok" in out
 
 
+def test_sweep_without_family_writes_to_out(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--m-list", "2,4", "--out", str(out_dir)]) == 0
+    table = (out_dir / "sweep.csv").read_text().splitlines()
+    assert table[0] == "m,policy,flowtime,makespan,ratio_flow,ratio_make"
+    assert [row.split(",")[:2] for row in table[1:]] == [["2", "sequence"], ["4", "sequence"]]
+    assert "wrote sweep.csv" in capsys.readouterr().out
+
+
 def test_sweep_empty_policy_list(capsys):
     assert main(["sweep", "--m-list", "2,4", "--policies", ""]) == 0
     out = capsys.readouterr().out

@@ -22,7 +22,7 @@ from onmapf import (
     sequence_policy,
 )
 from onmapf.adversary import RandomSpec
-from onmapf.core import dump_scenario, load_scenario, plan_to_csv
+from onmapf.core import Conflict, dump_scenario, load_scenario, plan_to_csv
 from onmapf.errors import ParseError
 from onmapf.world import GridMap
 
@@ -129,6 +129,56 @@ def test_detect_conflicts_symmetric_under_relabeling():
         a = [(c.kind, c.time) for c in detect_conflicts(plan)]
         b = [(c.kind, c.time) for c in detect_conflicts(relabeled)]
         assert a == b == []
+
+
+def _pairwise_conflicts(plan):
+    """Reference detector: compare every pair of paths step by step."""
+    ids = sorted(plan)
+    conflicts = []
+    for a_pos, i in enumerate(ids):
+        pi = plan[i]
+        for j in ids[a_pos + 1:]:
+            pj = plan[j]
+            for t in range(max(pi.start_time, pj.start_time),
+                           min(pi.arrival_time, pj.arrival_time)):
+                vi = occupancy(pi, t)
+                if vi is not None and vi == occupancy(pj, t):
+                    conflicts.append(Conflict("vertex", (i, j), t, vi))
+            moves_j = set(pj.moves())
+            for u, v, t in pi.moves():
+                if (v, u, t) in moves_j:
+                    conflicts.append(Conflict("edge", (i, j), t, (u, v)))
+    conflicts.sort(key=lambda c: (c.time, c.agents, c.kind, str(c.location)))
+    return conflicts
+
+
+def test_detect_conflicts_matches_pairwise_reference():
+    # three agents in one cell: every pair conflicts there
+    crowd = {1: Path(0, (0, 1, 2)), 2: Path(0, (2, 1, 0)), 3: Path(1, (1, 5))}
+    assert [c.agents for c in detect_conflicts(crowd) if c.time == 1] == [(1, 2), (1, 3), (2, 3)]
+    # two agents making the same move, a third swapping with both
+    same_move = {1: Path(0, (1, 2)), 2: Path(0, (1, 2)), 3: Path(0, (2, 1))}
+    assert [(c.kind, c.agents) for c in detect_conflicts(same_move)] == [
+        ("vertex", (1, 2)), ("edge", (1, 3)), ("edge", (2, 3)),
+    ]
+    for plan in (crowd, same_move):
+        assert detect_conflicts(plan) == _pairwise_conflicts(plan)
+    rng = random.Random(7)
+    g = build_grid(3, 3)
+    seen_kinds = set()
+    for _ in range(400):
+        plan = {}
+        for aid in rng.sample(range(1, 20), rng.randint(2, 7)):
+            v = rng.randrange(g.vertex_count)
+            vertices = [v]
+            for _ in range(rng.randint(1, 6)):
+                v = rng.choice(g.adjacency[v] + (v,))
+                vertices.append(v)
+            plan[aid] = Path(rng.randint(0, 3), tuple(vertices))
+        found = detect_conflicts(plan)
+        assert found == _pairwise_conflicts(plan)
+        seen_kinds.update(c.kind for c in found)
+    assert seen_kinds == {"vertex", "edge"}
 
 
 def test_evaluate_line_sequence_values():

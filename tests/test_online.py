@@ -3,16 +3,20 @@ import pytest
 from onmapf import (
     Agent,
     InstanceSource,
+    OnlineInstance,
     Path,
     build_grid,
+    build_obstacles,
     check_global_bounds,
     custom_policy,
+    detect_conflicts,
     gen_2x2_adversary,
     gen_line,
     gen_random,
     is_rational_at,
     offline_optimal,
     opt_rational,
+    plan_min_arrival,
     rationalize_wrap,
     run,
     sequence_policy,
@@ -73,6 +77,37 @@ def test_opt_rational_line_exact_for_non_rerouting_modes():
                 assert trace.metrics.flowtime == forms.rational_flow
                 assert trace.metrics.makespan == forms.rational_make
                 assert trace.conflicts == []
+
+
+def test_new_single_plans_against_all_lower_id_paths():
+    for seed in (2, 5):
+        inst = random_instance(seed, agents=8, size=6)
+        trace = run(InstanceSource(inst), opt_rational("new-single", "flowtime"))
+        for agent in inst.agents:
+            lower = {aid: trace.plan[aid] for aid in range(1, agent.id)}
+            expected = plan_min_arrival(inst.graph, agent, build_obstacles(lower), agent.release)
+            assert trace.plan[agent.id] == expected
+
+
+def test_rationalized_cap_checks_replacements_not_candidates():
+    g = build_grid(1, 3)
+    inst = OnlineInstance(g, (Agent(1, 0, 1, 0), Agent(2, 1, 0, 0), Agent(3, 1, 2, 1)))
+    candidates = {1: Path(0, (0, 1)), 2: Path(0, (1, 0)), 3: Path(1, (1, 2))}
+    replacement_2 = Path(1, (1, 0))  # sequential route after agent 1 arrives
+    # agent 2's candidate swaps with agent 1; agent 3's candidate clashes only
+    # with agent 2's replacement (both on vertex 1 at t=1)
+    assert detect_conflicts({1: candidates[1], 2: candidates[2]})
+    assert not detect_conflicts({1: candidates[1], 3: candidates[3]})
+    assert not detect_conflicts({2: candidates[2], 3: candidates[3]})
+    assert detect_conflicts({2: replacement_2, 3: candidates[3]})
+
+    def hook(ctx):
+        return {agent.id: candidates[agent.id] for agent in ctx.new_agents}
+
+    policy = rationalize_wrap(custom_policy(hook, mode="new-single", label="clashing"))
+    trace = run(InstanceSource(inst), policy)
+    assert trace.plan == {1: candidates[1], 2: replacement_2, 3: Path(2, (1, 2))}
+    assert trace.conflicts == []
 
 
 def test_plan_all_beats_plan_new_on_line():
