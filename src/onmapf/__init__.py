@@ -37,6 +37,7 @@ from .core import (
     occupancy,
     partition_by_release,
     rationality_bounds,
+    sequential_chain,
     validate_path,
 )
 from .errors import (
@@ -66,7 +67,6 @@ from .online import (
     rationalize_wrap,
     run,
     sequence_policy,
-    sequence_step,
 )
 from .search import (
     DynamicObstacleSet,

@@ -218,35 +218,40 @@ def evaluate(plan: Plan, agent_ids, inst: OnlineInstance) -> Metrics:
     return Metrics(flowtime, makespan, flowtime - dist_sum)
 
 
+def sequential_chain(graph: Graph, agents, after: int = 0):
+    """Route the agents one at a time, in the given order.
+
+    Yields ``(agent, start, arrival)``: each agent starts at
+    ``max(release, previous arrival)`` (``after`` for the first) and walks a
+    shortest path without waiting. This is the paper's sequential reference
+    algorithm; its cost sets the rationality ceilings, bounds the joint
+    search and is what the rationalization wrapper falls back to.
+    """
+    chain = after
+    for agent in agents:
+        start = max(agent.release, chain)
+        chain = start + shortest_dist(graph, agent.start, agent.goal)
+        yield agent, start, chain
+
+
 def rationality_bounds(inst: OnlineInstance, k: int) -> tuple[int, int]:
     """Per-release-time flowtime and makespan ceilings a sensible algorithm
     never exceeds (routing everyone one at a time already meets them).
 
-    For the k-th release group over revealed agents 1..m_k:
-    flow bound = m_k * sum of their shortest distances; make bound is anchored
-    at the last agent whose release outruns the running one-at-a-time chain,
-    i.e. it equals the makespan sequential routing would produce. Anchoring
-    at a fixed-baseline candidate instead undercuts sequential routing itself
-    whenever several releases outrun the chain.
+    For the k-th release group over revealed agents 1..m_k, both come from
+    the cost of ``sequential_chain`` over those agents: flow bound = m_k times
+    the sum of their shortest distances, make bound = the chain's last
+    arrival, i.e. the makespan sequential routing itself produces.
     """
     groups = partition_by_release(inst)
     if not (1 <= k <= len(groups)):
         raise ValueError(f"group index {k} out of range 1..{len(groups)}")
     m_k = groups[k - 1].agent_ids[-1]  # revealed agents are exactly ids 1..m_k
-    dists = [inst.dist(i) for i in range(1, m_k + 1)]
-    flow_bound = m_k * sum(dists)
-
-    n_k = 1
-    chain = 0  # arrival of the sequential chain so far
-    for n in range(1, m_k + 1):
-        release = inst.agent(n).release
-        if release > chain:
-            n_k = n
-            chain = release
-        chain += dists[n - 1]
-    make_bound = inst.agent(n_k).release + sum(dists[n_k - 1:])
-    assert make_bound == chain
-    return flow_bound, make_bound
+    dist_sum = make_bound = 0
+    for _, start, arrival in sequential_chain(inst.graph, inst.agents[:m_k]):
+        dist_sum += arrival - start
+        make_bound = arrival
+    return m_k * dist_sum, make_bound
 
 
 def is_rational_at(plan: Plan, inst: OnlineInstance, k: int) -> bool:

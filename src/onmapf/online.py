@@ -22,6 +22,12 @@ rationalization cap all read it. It is rebuilt from the committed plan only
 where committed paths are replaced rather than added: after a rationalization
 fallback and after an ``all``-mode replan. After every event it holds exactly
 the reservations of the committed plan, never those of a rejected candidate.
+
+Every collision decision inside the loop reads that table
+(:meth:`DynamicObstacleSet.admits`); ``core.detect_conflicts`` only produces
+the final report. Every one-at-a-time route (the ``sequence`` planner, the
+rationalization fallbacks, the ``all``-mode incumbent and the ``wasteful``
+hook) comes from ``core.sequential_chain``.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ from .core import (
     Path,
     Plan,
     evaluate,
-    is_rational_at,
     partition_by_release,
     rationality_bounds,
+    sequential_chain,
 )
 from .errors import ProtocolViolation
 from .search import (
@@ -51,7 +57,7 @@ from .search import (
     offline_optimal,
     plan_min_arrival,
 )
-from .world import Graph, shortest_dist, shortest_path_lex
+from .world import Graph, shortest_path_lex
 
 MODES = ("new-single", "new", "all")
 OBJECTIVES = ("flowtime", "makespan")
@@ -130,16 +136,14 @@ def wasteful_policy() -> OnlinePolicy:
     def hook(ctx: "CustomContext") -> Plan:
         inst = ctx.instance
         slack = inst.m * sum(inst.dist(i) for i in range(1, inst.m + 1)) + 1
-        chain = max((p.arrival_time for p in ctx.committed.values()), default=0)
-        chain = max(chain, ctx.time)
+        after = max([ctx.time] + [p.arrival_time for p in ctx.committed.values()])
+        # The chain runs slack steps late; the first agent waits them out at its start.
         paths: Plan = {}
-        for idx, agent in enumerate(ctx.new_agents):
-            route = shortest_path_lex(ctx.graph, agent.start, agent.goal)
-            if idx == 0:
-                route = (route[0],) * slack + route
-            path = Path(max(chain, agent.release), route)
+        for agent, start, _ in sequential_chain(ctx.graph, ctx.new_agents, after + slack):
+            path = _chain_path(ctx.graph, agent, start)
+            if not paths:
+                path = Path(start - slack, (agent.start,) * slack + path.vertices)
             paths[agent.id] = path
-            chain = path.arrival_time
         return paths
 
     return custom_policy(hook, mode="new", label="wasteful")
@@ -235,13 +239,6 @@ class SimulationTrace:
     conflicts: list = field(default_factory=list)
 
 
-def sequence_step(prev_arrival: int, agent: Agent, graph: Graph) -> Path:
-    """One step of the sequential baseline: start once the predecessor has
-    arrived (or at release), walk a shortest path without waiting."""
-    start = max(agent.release, prev_arrival)
-    return Path(start, shortest_path_lex(graph, agent.start, agent.goal))
-
-
 def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None = None) -> SimulationTrace:
     """Drive the policy over all reveal events and return the full trace."""
     if limits is None:
@@ -272,29 +269,28 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
         k += 1
         inst_now = OnlineInstance(graph, tuple(revealed))
         before = dict(committed)
-        prev_makespan = max((p.arrival_time for p in before.values()), default=0)
+        prev_makespan = trace_snapshots[-1].metrics.makespan if trace_snapshots else 0
 
-        _plan_event(committed, obstacles, graph, inst_now, new_agents, time_k, policy, limits,
-                    prev_makespan)
+        clashed = _plan_event(committed, obstacles, graph, inst_now, new_agents, time_k, policy,
+                              limits, prev_makespan)
 
-        fallback = False
-        if policy.rationalized and policy.mode != "new-single":
-            violated = not is_rational_at(committed, inst_now, k)
-            if not violated and policy.planner == "custom":
-                # A hook may emit paths that clash with the commitments; that
-                # is just as much a violation as busting the cost ceilings.
-                violated = bool(core.detect_conflicts(committed, inst_now))
-            if violated:
-                committed.clear()
-                committed.update(before)
-                _route_sequentially(committed, graph, new_agents, max(time_k, prev_makespan))
-                fallback = True
-        if fallback or policy.mode == "all":
+        revealed_ids = range(1, len(revealed) + 1)
+        snap = Snapshot(k, time_k, dict(committed), evaluate(committed, revealed_ids, inst_now),
+                        rationality_bounds(inst_now, k), False)
+        if (policy.rationalized and policy.mode != "new-single"
+                and (clashed or not (snap.flow_ok and snap.make_ok))):
+            # Replace the group by the sequential chain after every committed
+            # arrival, which meets both ceilings and cannot collide.
+            committed.clear()
+            committed.update(before)
+            for agent, start, _ in sequential_chain(graph, new_agents, max(time_k, prev_makespan)):
+                committed[agent.id] = _chain_path(graph, agent, start)
+            snap = Snapshot(k, time_k, dict(committed), evaluate(committed, revealed_ids, inst_now),
+                            snap.bounds, True)
             obstacles = build_obstacles(committed)
-
-        metrics_k = evaluate(committed, range(1, len(revealed) + 1), inst_now)
-        bounds = rationality_bounds(inst_now, k)
-        trace_snapshots.append(Snapshot(k, time_k, dict(committed), metrics_k, bounds, fallback))
+        elif policy.mode == "all":
+            obstacles = build_obstacles(committed)
+        trace_snapshots.append(snap)
         source.observe(time_k, dict(committed))
 
     instance = OnlineInstance(graph, tuple(revealed))
@@ -305,7 +301,8 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
 
 def check_global_bounds(trace: SimulationTrace, inst: OnlineInstance) -> tuple[bool, bool]:
     """Final-solution sanity bounds implied by rationality: flowtime at most
-    m times the summed distances, makespan at most the last anchored bound."""
+    m times the summed distances, makespan at most the cost of
+    ``sequential_chain`` over all agents."""
     groups = partition_by_release(inst)
     flow_bound, make_bound = rationality_bounds(inst, len(groups))
     return trace.metrics.flowtime <= flow_bound, trace.metrics.makespan <= make_bound
@@ -320,14 +317,20 @@ def _commit(committed, obstacles, agent_id, path):
     obstacles.add_path(agent_id, path)
 
 
+def _chain_path(graph, agent, start):
+    """The path ``sequential_chain`` routes an agent on from ``start``."""
+    return Path(start, shortest_path_lex(graph, agent.start, agent.goal))
+
+
 def _plan_event(committed, obstacles, graph, inst_now, new_agents, time_k, policy, limits,
                 prev_makespan):
-    if policy.planner == "sequence":
-        _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, "sequence")
-    elif policy.planner == "custom":
-        _plan_custom(committed, obstacles, graph, inst_now, new_agents, time_k, policy)
-    elif policy.mode == "new-single":
-        _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, "min-arrival")
+    """Commit the new group's paths; True if a rationalized ``new``-mode
+    hook produced a path the reservation table does not admit."""
+    if policy.planner == "custom":
+        return _plan_custom(committed, obstacles, graph, inst_now, new_agents, time_k, policy,
+                            prev_makespan)
+    if policy.mode == "new-single":
+        _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, prev_makespan)
     elif policy.mode == "new":
         sub = offline_optimal(
             graph,
@@ -342,64 +345,56 @@ def _plan_event(committed, obstacles, graph, inst_now, new_agents, time_k, polic
             _commit(committed, obstacles, agent_id, sub[agent_id])
     else:
         _replan_all(committed, graph, inst_now, new_agents, time_k, policy, limits, prev_makespan)
+    return False
 
 
-def _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, kind):
+def _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, makespan):
     """Plan newly revealed agents one at a time in id order, treating every
-    already-planned agent as a dynamic obstacle."""
+    already-planned agent as a dynamic obstacle. ``makespan`` is the latest
+    committed arrival."""
+    if policy.planner == "sequence":
+        for agent, start, _ in sequential_chain(graph, new_agents, makespan):
+            _commit(committed, obstacles, agent.id, _chain_path(graph, agent, start))
+        return
     for agent in new_agents:
-        prev_arrival = max((p.arrival_time for p in committed.values()), default=0)
-        if kind == "sequence":
-            path = sequence_step(prev_arrival, agent, graph)
-        else:
-            path = plan_min_arrival(graph, agent, obstacles, agent.release, limits)
+        path = plan_min_arrival(graph, agent, obstacles, agent.release, limits)
         if policy.rationalized:
-            path = _cap_single_path(path, agent, graph, prev_arrival, obstacles)
+            path = _cap_single_path(path, agent, graph, makespan, obstacles)
         _commit(committed, obstacles, agent.id, path)
+        makespan = max(makespan, path.arrival_time)
 
 
-def _cap_single_path(path, agent, graph, prev_arrival, obstacles):
+def _cap_single_path(path, agent, graph, makespan, obstacles):
     """Per-agent rationalization: a candidate may not arrive later than the
-    sequential route would, and must fit the commitments in ``obstacles``;
-    otherwise that route (which starts after every committed arrival)
-    replaces it."""
-    dist = shortest_dist(graph, agent.start, agent.goal)
-    limit = max(agent.release, prev_arrival) + dist
-    if path.arrival_time > limit or _collides(path, obstacles):
-        return sequence_step(prev_arrival, agent, graph)
+    sequential chain after ``makespan`` would, and must fit the commitments in
+    ``obstacles``; otherwise that chain's path (which starts after every
+    committed arrival) replaces it."""
+    _, start, arrival = next(sequential_chain(graph, (agent,), makespan))
+    if path.arrival_time > arrival or not obstacles.admits(path):
+        return _chain_path(graph, agent, start)
     return path
 
 
-def _collides(path, obstacles) -> bool:
-    for offset, v in enumerate(path.vertices[:-1]):
-        if not obstacles.vertex_free(v, path.start_time + offset):
-            return True
-    return any(not obstacles.swap_free(u, v, t) for u, v, t in path.moves())
-
-
-def _plan_custom(committed, obstacles, graph, inst_now, new_agents, time_k, policy):
+def _plan_custom(committed, obstacles, graph, inst_now, new_agents, time_k, policy, makespan):
     ctx = CustomContext(graph, time_k, tuple(new_agents), dict(committed), inst_now)
     produced = policy.custom(ctx)
     new_ids = {a.id for a in new_agents}
     if set(produced) != new_ids:
         raise ValueError("custom hook must return exactly the new agents' paths")
+    clashed = False
     for agent in new_agents:
         path = produced[agent.id]
         core.validate_path(path, agent, graph)
         if policy.rationalized and policy.mode == "new-single":
-            prev_arrival = max((p.arrival_time for p in committed.values()), default=0)
-            path = _cap_single_path(path, agent, graph, prev_arrival, obstacles)
+            path = _cap_single_path(path, agent, graph, makespan, obstacles)
+        elif policy.rationalized:
+            # The committed plan before the event is conflict-free (every
+            # earlier event passed this check or fell back to the chain), so
+            # checking each path as it joins the table finds every conflict.
+            clashed = clashed or not obstacles.admits(path)
         _commit(committed, obstacles, agent.id, path)
-
-
-def _route_sequentially(committed, graph, agents, start_at):
-    """SEQUENCE-style fallback: route the group one agent at a time starting
-    no earlier than ``start_at`` (the previously committed makespan)."""
-    chain = start_at
-    for agent in agents:
-        path = Path(max(chain, agent.release), shortest_path_lex(graph, agent.start, agent.goal))
-        committed[agent.id] = path
-        chain = path.arrival_time
+        makespan = max(makespan, path.arrival_time)
+    return clashed
 
 
 def _replan_all(committed, graph, inst_now, new_agents, time_k, policy, limits, prev_makespan):
@@ -423,10 +418,8 @@ def _replan_all(committed, graph, inst_now, new_agents, time_k, policy, limits, 
         tasks.append(JointTask(agent.id, agent.goal, agent.release, entry=agent.start))
     # Incumbent continuation: keep old futures, chain the new group after the
     # committed makespan. Its cost is a sound upper bound for the replan.
-    chain = max(time_k, prev_makespan)
-    for agent in new_agents:
-        chain += shortest_dist(graph, agent.start, agent.goal)
-        incumbent_arrivals[agent.id] = chain
+    for agent, _, arrival in sequential_chain(graph, new_agents, max(time_k, prev_makespan)):
+        incumbent_arrivals[agent.id] = arrival
     if policy.objective == "flowtime":
         upper = sum(
             incumbent_arrivals[t.agent_id] - max(t.release, time_k) for t in tasks

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .core import Agent, Path, Plan
+from .core import Agent, Path, Plan, sequential_chain
 from .errors import BudgetExhausted
 from .world import Graph
 
@@ -51,9 +51,9 @@ class DynamicObstacleSet:
     move into the goal, for the step it departs on.
 
     The set is a cooperative-A* reservation table: ``online.run`` owns one,
-    extends it with ``add_path`` as each path is committed, and rebuilds it
-    only where committed paths are replaced (a rationalization fallback or an
-    ``all``-mode replan).
+    extends it with ``add_path`` as each path is committed, asks ``admits``
+    whether a candidate path fits, and rebuilds it only where committed paths
+    are replaced (a rationalization fallback or an ``all``-mode replan).
     """
 
     def __init__(self):
@@ -76,6 +76,14 @@ class DynamicObstacleSet:
     def swap_free(self, u: int, v: int, depart: int) -> bool:
         """True unless some reserved move traverses v->u while we go u->v."""
         return ((v, u), depart) not in self.edge_reservations
+
+    def admits(self, path: Path) -> bool:
+        """True unless the path occupies a reserved vertex or swaps with a
+        reserved move: the one collision check the online loop makes."""
+        for offset, v in enumerate(path.vertices[:-1]):
+            if not self.vertex_free(v, path.start_time + offset):
+                return False
+        return all(self.swap_free(u, v, t) for u, v, t in path.moves())
 
     def __len__(self):
         return len(self.vertex_reservations) + len(self.edge_reservations)
@@ -205,6 +213,9 @@ def offline_optimal(
     times of agents outside the search into the makespan objective (used when
     previously planned agents count toward the measured cost). Intended for
     small agent sets; exponential in the number of agents.
+
+    The search is bounded by the cost of the trivially feasible plan: wait
+    until every reservation has expired, then ``sequential_chain``.
     """
     agents = sorted(agents, key=lambda a: a.id)
     if not agents:
@@ -212,15 +223,14 @@ def offline_optimal(
     tasks = [JointTask(a.id, a.goal, a.release, entry=a.start) for a in agents]
     if start_time is None:
         start_time = min(a.release for a in agents)
-    return joint_plan(
-        graph,
-        tasks,
-        objective,
-        frozen=frozen,
-        start_time=start_time,
-        limits=limits,
-        fixed_makespan=fixed_makespan,
-    )
+    after = max(frozen.horizon if frozen is not None else 0, start_time)
+    chain = list(sequential_chain(graph, agents, after))
+    if objective == "flowtime":
+        upper = sum(arrival - max(agent.release, start_time) for agent, _, arrival in chain)
+    else:
+        upper = max(fixed_makespan, chain[-1][2])
+    return joint_plan(graph, tasks, objective, frozen=frozen, start_time=start_time,
+                      limits=limits, upper_bound=upper, fixed_makespan=fixed_makespan)
 
 
 def joint_plan(
@@ -238,10 +248,12 @@ def joint_plan(
 
     Returns one path per task; paths of tasks given by ``current`` start at
     ``start_time`` at that vertex (callers splice their executed prefixes back
-    on). ``upper_bound`` is an optional cost of a known feasible plan in the
-    same units as the objective; it prunes but never changes the optimum. When
-    some task is already in the graph, callers should supply it, because the
-    default completeness horizon assumes agents can outwait all reservations.
+    on). ``upper_bound`` is the cost of a known feasible plan in the same
+    units as the objective; it prunes and sets the horizon but never changes
+    the optimum. Callers supply it (``offline_optimal`` passes the sequential
+    chain's cost, the ``all``-mode replan its incumbent); without one the
+    search falls back to a loose completeness horizon that assumes agents can
+    outwait all reservations.
 
     Flowtime is minimized by one search keyed (flowtime, makespan, history).
     Makespan needs two passes: a max-composed cost has no clean per-state
@@ -278,9 +290,6 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
     n = len(tasks)
     dist_maps = [graph.dist_from(task.goal) for task in tasks]
     flow_primary = primary == "flowtime"
-
-    if upper_bound is None and make_cap is None and all(t.entry is not None for t in tasks):
-        upper_bound = _sequential_bound(tasks, dist_maps, frozen, t0, fixed_makespan, primary)
     horizon = limits.horizon_bound
     if horizon is None:
         latest = max([t0] + [task.release for task in tasks])
@@ -413,22 +422,6 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
             push_id += 1
 
     raise BudgetExhausted(f"joint search found no plan within horizon {horizon}")
-
-
-def _sequential_bound(tasks, dist_maps, frozen, t0, fixed_makespan, objective) -> int:
-    """Cost of the trivially feasible plan: wait until every reservation has
-    expired, then route the agents one at a time."""
-    t_free = max(frozen.horizon, t0)
-    prev_arrival = 0
-    flow = 0
-    make = fixed_makespan
-    for idx, task in enumerate(tasks):
-        start = max(task.release, t_free, prev_arrival)
-        arrival = start + dist_maps[idx][task.entry]
-        flow += arrival - max(task.release, t0)
-        make = max(make, arrival)
-        prev_arrival = arrival
-    return flow if objective == "flowtime" else make
 
 
 def _reconstruct(hist, tasks, t0) -> Plan:

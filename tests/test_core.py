@@ -10,6 +10,7 @@ from onmapf import (
     RatioReport,
     UnplannedAgent,
     build_grid,
+    build_obstacles,
     detect_conflicts,
     evaluate,
     gen_line,
@@ -178,6 +179,10 @@ def test_detect_conflicts_matches_pairwise_reference():
         found = detect_conflicts(plan)
         assert found == _pairwise_conflicts(plan)
         seen_kinds.update(c.kind for c in found)
+        # the reservation table of the others admits a path iff it is in no conflict
+        for aid, path in plan.items():
+            others = build_obstacles({j: p for j, p in plan.items() if j != aid})
+            assert others.admits(path) == all(aid not in c.agents for c in found)
     assert seen_kinds == {"vertex", "edge"}
 
 
@@ -273,6 +278,10 @@ def test_bounds_nondecreasing_in_k():
         bounds = [rationality_bounds(inst, k) for k in range(1, len(groups) + 1)]
         assert [b[0] for b in bounds] == sorted(b[0] for b in bounds)
         assert [b[1] for b in bounds] == sorted(b[1] for b in bounds)
+        for group, (flow_bound, make_bound) in zip(groups, bounds):
+            m_k = group.agent_ids[-1]
+            assert make_bound == _brute_make_bound(inst, m_k)
+            assert flow_bound == m_k * sum(inst.dist(i) for i in range(1, m_k + 1))
 
 
 def test_is_rational_at_flags_detours():

@@ -20,7 +20,8 @@ from onmapf import (
     rationalize_wrap,
     run,
     sequence_policy,
-    sequence_step,
+    sequential_chain,
+    shortest_path_lex,
 )
 from onmapf.adversary import RandomSpec, line_closed_forms
 from onmapf.errors import DisconnectedWorld, EmptyWorld
@@ -44,8 +45,10 @@ def random_instance(seed, agents=4, size=5, max_release=5, density=0.15):
 def test_sequence_start_rule():
     g = build_grid(1, 4)
     a = Agent(3, 0, 3, 7)
-    assert sequence_step(5, a, g).start_time == 7  # released after predecessor
-    assert sequence_step(9, a, g).start_time == 9  # predecessor still busy
+    assert list(sequential_chain(g, [a], 5)) == [(a, 7, 10)]  # released after predecessor
+    assert list(sequential_chain(g, [a], 9)) == [(a, 9, 12)]  # predecessor still busy
+    b = Agent(4, 3, 0, 7)
+    assert [s for _, s, _ in sequential_chain(g, [a, b], 9)] == [9, 12]  # b waits for a
 
 
 def test_sequence_line_m2():
@@ -184,6 +187,31 @@ def test_wasteful_fails_unwrapped_and_passes_wrapped():
         assert all(s.flow_ok and s.make_ok for s in wrapped.snapshots)
         assert any(s.fallback for s in wrapped.snapshots)
         assert wrapped.conflicts == []
+
+
+def test_rationalized_new_hook_clash_falls_back_to_chain():
+    # Each agent walks a shortest path from its release: both snapshots meet
+    # the cost ceilings, but agents 1 and 2 swap along edge 1-2 at t=1.
+    inst = gen_line(2)
+
+    def clash(ctx):
+        return {a.id: Path(a.release, shortest_path_lex(ctx.graph, a.start, a.goal))
+                for a in ctx.new_agents}
+
+    raw = run(InstanceSource(inst), custom_policy(clash, mode="new"))
+    assert all(s.flow_ok and s.make_ok for s in raw.snapshots)
+    assert [(c.kind, c.agents, c.time) for c in raw.conflicts] == [("edge", (1, 2), 1)]
+    wrapped = run(InstanceSource(inst), rationalize_wrap(custom_policy(clash, mode="new")))
+    assert [s.fallback for s in wrapped.snapshots] == [False, True]
+    assert wrapped.plan[2] == Path(2, (2, 1, 0))
+    assert wrapped.conflicts == []
+    # within one group: the second agent meets the first at vertex 1
+    pair = OnlineInstance(build_grid(1, 3), (Agent(1, 0, 2, 0), Agent(2, 2, 0, 0)))
+    raw = run(InstanceSource(pair), custom_policy(clash, mode="new"))
+    assert [(c.kind, c.agents, c.time) for c in raw.conflicts] == [("vertex", (1, 2), 1)]
+    wrapped = run(InstanceSource(pair), rationalize_wrap(custom_policy(clash, mode="new")))
+    assert wrapped.snapshots[0].fallback
+    assert wrapped.plan == {1: Path(0, (0, 1, 2)), 2: Path(2, (2, 1, 0))}
 
 
 def test_wrapping_opt_rational_never_triggers_fallback():
