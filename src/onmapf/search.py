@@ -29,14 +29,11 @@ DONE = -2  # joint-state token: arrived and removed
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Caps for a single search call.
+    """Caps for a single search call: at most ``node_budget`` heap pops.
 
-    ``horizon_bound`` of None derives a completeness bound from the inputs
-    (obstacle horizon + vertex count + latest start), which always admits a
-    plan because every obstacle eventually disappears.
+    The time horizons are derived from the inputs, never set here.
     """
 
-    horizon_bound: int | None = None
     node_budget: int = 10_000_000
 
 
@@ -124,9 +121,9 @@ def plan_min_arrival(
         limits = DEFAULT_LIMITS
     start, goal = agent.start, agent.goal
     dist_to_goal = graph.dist_from(goal)
-    horizon = limits.horizon_bound
-    if horizon is None:
-        horizon = obstacles.horizon + graph.vertex_count + earliest_start + 1
+    # Completeness bound: every obstacle has expired by obstacles.horizon, and
+    # from then on a shortest path takes fewer than vertex_count steps.
+    horizon = obstacles.horizon + graph.vertex_count + earliest_start + 1
 
     # Heap keys are (arrival lower bound, waits so far, vertex sequence so
     # far); payload marks off-graph / in-graph / finished nodes. The first
@@ -290,15 +287,13 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
     n = len(tasks)
     dist_maps = [graph.dist_from(task.goal) for task in tasks]
     flow_primary = primary == "flowtime"
-    horizon = limits.horizon_bound
-    if horizon is None:
-        latest = max([t0] + [task.release for task in tasks])
-        if make_cap is not None:
-            horizon = make_cap + 1
-        elif upper_bound is not None:
-            horizon = (latest + upper_bound + 1) if flow_primary else (upper_bound + 1)
-        else:
-            horizon = max(latest, frozen.horizon) + (n + 1) * graph.vertex_count + 1
+    latest = max([t0] + [task.release for task in tasks])
+    if make_cap is not None:
+        horizon = make_cap + 1
+    elif upper_bound is not None:
+        horizon = (latest + upper_bound + 1) if flow_primary else (upper_bound + 1)
+    else:
+        horizon = max(latest, frozen.horizon) + (n + 1) * graph.vertex_count + 1
 
     def rho(token, tau, idx):
         # Remaining-service lower bound of one agent, counted from time tau.

@@ -145,8 +145,12 @@ def build_grid(height: int, width: int, blocked=()) -> Graph:
 
 
 def shortest_dist(graph: Graph, s: int, t: int) -> int:
-    """Unweighted shortest-path length between two vertices."""
-    return graph.dist_from(s)[t]
+    """Unweighted shortest-path length between two vertices.
+
+    Reads the target's distance map (graphs are undirected), the one the
+    planners already keep for every goal.
+    """
+    return graph.dist_from(t)[s]
 
 
 def shortest_path_lex(graph: Graph, s: int, t: int) -> tuple[int, ...]:

@@ -1,3 +1,5 @@
+import pytest
+
 from onmapf.bench import main
 
 MAP_1X2 = "height 1\nwidth 2\nmap\n..\n"
@@ -31,6 +33,31 @@ def test_solve_single_agent_map(tmp_path, capsys):
     rc = main(["solve", "--map", map_path, "--scen", scen_path, "--policy", "sequence"])
     assert rc == 0
     assert "flowtime 1, makespan 1, latency 0" in capsys.readouterr().out
+
+
+def test_ratio_report_and_steps_bytes(tmp_path, capsys):
+    out_dir = tmp_path / "ratio"
+    assert main(["ratio", "--family", "line", "--m", "4", "--policy", "sequence",
+                 "--objective", "latency", "--out", str(out_dir)]) == 0
+    assert (out_dir / "report.csv").read_text().splitlines()[1] == (
+        "sequence,new-single,latency,4,34,16,18,0,1,0,18,9,2.0,9"
+    )
+    assert (out_dir / "steps.csv").read_text() == (
+        "k,time,flowtime,makespan,flow_bound,make_bound,flow_ok,make_ok,fallback\n"
+        "1,0,4,4,4,4,1,1,0\n"
+        "2,1,11,8,16,8,1,1,0\n"
+        "3,2,21,12,36,12,1,1,0\n"
+        "4,3,34,16,64,16,1,1,0\n"
+    )
+
+    out_dir = tmp_path / "replay"
+    assert main(["solve", "--family", "line", "--m", "4", "--policy", "custom-irrational",
+                 "--out", str(out_dir)]) == 0
+    assert (out_dir / "report.csv").read_text().splitlines()[1] == (
+        "replay-optimal,new-single,flowtime,4,25,11,9,0,0,0,,,,"
+    )
+    assert (out_dir / "steps.csv").read_text().splitlines()[2] == "2,1,14,11,16,8,1,0,0"
+    capsys.readouterr()
 
 
 def test_solve_writes_byte_stable_reports(tmp_path, capsys):
@@ -158,6 +185,16 @@ def test_config_errors(capsys):
     assert main(["solve", "--family", "line", "--m", "3"]) == 2  # odd m
     assert main(["solve", "--family", "line", "--m", "2", "--map", "x"]) == 2
     assert main(["solve"]) == 2  # no source at all
+    capsys.readouterr()
+
+
+def test_verbs_reject_flags_they_do_not_read(capsys):
+    for argv in (["sweep", "--m", "8", "--m-list", "2"], ["sweep", "--seed", "1"],
+                 ["sweep", "--force"], ["validate", "--map", "x", "--out", "x"],
+                 ["validate", "--map", "x", "--node-budget", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 

@@ -111,6 +111,19 @@ def test_distance_symmetry_and_triangle_inequality():
         assert all(shortest_dist(g, v, v) == 0 for v in range(n))
 
 
+def test_shortest_dist_reads_the_goal_keyed_map():
+    # The planners keep one distance map per goal; shortest_dist must reuse
+    # it rather than cache a second map keyed on the start.
+    rng = random.Random(11)
+    for _ in range(20):
+        g = random_connected_graph(rng, rng.randint(2, 9))
+        s, t = rng.randrange(g.vertex_count), rng.randrange(g.vertex_count)
+        g.dist_from(t)
+        cached = set(g._dist_cache)
+        assert shortest_dist(g, s, t) == g._bfs(s)[t]
+        assert set(g._dist_cache) == cached
+
+
 def test_open_grid_distance_is_manhattan():
     rng = random.Random(3)
     grid = GridMap(5, 6, frozenset())
