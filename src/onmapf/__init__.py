@@ -38,6 +38,7 @@ from .core import (
     partition_by_release,
     rationality_bounds,
     sequential_chain,
+    validate_agent,
     validate_path,
 )
 from .errors import (

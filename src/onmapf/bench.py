@@ -130,16 +130,14 @@ def _oracle(args: argparse.Namespace, inst: OnlineInstance):
     )
 
 
-def _build_policy(args: argparse.Namespace, fixed_instance: OnlineInstance | None):
+def _build_policy(args: argparse.Namespace, optimum):
+    """The policy the flags name; ``custom-irrational`` replays ``optimum``."""
     if args.policy == "sequence":
         policy = online.sequence_policy()
     elif args.policy == "opt-rational":
         policy = online.opt_rational(args.mode, _planning_objective(args.objective))
     else:  # custom-irrational
-        if fixed_instance is None:
-            raise ConfigError("custom-irrational replays a fixed instance's optimum; "
-                              "not available against an adaptive adversary")
-        policy = online.replay_policy(_oracle(args, fixed_instance))
+        policy = online.replay_policy(optimum)
     if args.rationalize:
         policy = online.rationalize_wrap(policy)
     return policy
@@ -149,13 +147,17 @@ def _build_policy(args: argparse.Namespace, fixed_instance: OnlineInstance | Non
 # verbs
 
 
-def _ratio(args: argparse.Namespace, trace: online.SimulationTrace) -> RatioReport:
+def _ratio(args: argparse.Namespace, trace: online.SimulationTrace, optimum) -> RatioReport:
+    """The run's cost against the optimum: closed forms on the line, else
+    ``optimum`` (solved here if None)."""
     inst = trace.instance
     if args.family == "line":
         opt = adversary.line_closed_forms(args.m)
         opt_flow, opt_make = opt.opt_flow, opt.opt_make
     else:
-        opt = core.evaluate(_oracle(args, inst), range(1, inst.m + 1), inst)
+        if optimum is None:
+            optimum = _oracle(args, inst)
+        opt = core.evaluate(optimum, range(1, inst.m + 1), inst)
         opt_flow, opt_make = opt.flowtime, opt.makespan
     if args.objective == "flowtime":
         return RatioReport.of(trace.metrics.flowtime, opt_flow)
@@ -168,9 +170,15 @@ def _ratio(args: argparse.Namespace, trace: online.SimulationTrace) -> RatioRepo
 def cmd_run(args: argparse.Namespace, with_ratio: bool) -> None:
     """``solve``, or with the optimum's cost ratio, ``ratio``."""
     source, fixed_instance = _build_source(args)
-    policy = _build_policy(args, fixed_instance)
+    optimum = None
+    if args.policy == "custom-irrational":
+        if fixed_instance is None:
+            raise ConfigError("custom-irrational replays a fixed instance's optimum; "
+                              "not available against an adaptive adversary")
+        optimum = _oracle(args, fixed_instance)
+    policy = _build_policy(args, optimum)
     trace = online.run(source, policy, SearchLimits(node_budget=args.node_budget))
-    r = _ratio(args, trace) if with_ratio else None
+    r = _ratio(args, trace, optimum) if with_ratio else None
     m = trace.metrics
     rational = all(snap.flow_ok and snap.make_ok for snap in trace.snapshots)
     print(
@@ -331,26 +339,31 @@ def _add_run(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviations: each verb's flag set is exact, so a flag a verb does
+    # not take is rejected rather than read as a prefix of another one.
     parser = argparse.ArgumentParser(
-        prog="onmapf", description="Online MAPF benchmark harness"
+        prog="onmapf", description="Online MAPF benchmark harness", allow_abbrev=False
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    _add_run(sub.add_parser("solve", help="run one policy on one instance source"))
-    _add_run(sub.add_parser("ratio", help="run a policy and compare against the optimum"))
+    def verb(name, summary):
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
 
-    p = sub.add_parser("sweep", help="cost table over the line family")
+    _add_run(verb("solve", "run one policy on one instance source"))
+    _add_run(verb("ratio", "run a policy and compare against the optimum"))
+
+    p = verb("sweep", "cost table over the line family")
     _add_source(p)
     p.add_argument("--out")
     p.add_argument("--node-budget", type=int, default=DEFAULT_LIMITS.node_budget)
     p.add_argument("--m-list", default="2,4,6")
     p.add_argument("--policies", default="sequence")
 
-    p = sub.add_parser("reduce-sat", help="build the hardness gadget instance from a CNF")
+    p = verb("reduce-sat", "build the hardness gadget instance from a CNF")
     p.add_argument("--cnf", required=True)
     p.add_argument("--out", required=True)
 
-    _add_source(sub.add_parser("validate", help="parse and invariant-check input files"))
+    _add_source(verb("validate", "parse and invariant-check input files"))
     return parser
 
 

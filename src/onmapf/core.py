@@ -53,10 +53,7 @@ class OnlineInstance:
                 raise ValueError(f"agent ids must be 1..m in order, got {agent.id} at slot {i}")
             if i > 1 and agent.release < self.agents[i - 2].release:
                 raise ValueError("agents must be sorted by non-decreasing release time")
-            if not (0 <= agent.start < self.graph.vertex_count):
-                raise ValueError(f"agent {i}: start vertex out of range")
-            if not (0 <= agent.goal < self.graph.vertex_count):
-                raise ValueError(f"agent {i}: goal vertex out of range")
+            validate_agent(agent, self.graph)
 
     @property
     def m(self) -> int:
@@ -135,6 +132,14 @@ def occupancy(path: Path, t: int):
     if path.start_time <= t <= path.arrival_time - 1:
         return path.vertices[t - path.start_time]
     return None
+
+
+def validate_agent(agent: Agent, graph: Graph) -> None:
+    """Check that the agent's start and goal are vertices of the graph."""
+    if not (0 <= agent.start < graph.vertex_count):
+        raise ValueError(f"agent {agent.id}: start vertex out of range")
+    if not (0 <= agent.goal < graph.vertex_count):
+        raise ValueError(f"agent {agent.id}: goal vertex out of range")
 
 
 def validate_path(path: Path, agent: Agent, graph: Graph) -> None:

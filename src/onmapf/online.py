@@ -28,6 +28,16 @@ Every collision decision inside the loop reads that table
 the final report. Every one-at-a-time route (the ``sequence`` planner, the
 rationalization fallbacks, the ``all``-mode incumbent and the ``wasteful``
 hook) comes from ``core.sequential_chain``.
+
+``run`` also keeps running totals instead of re-evaluating the revealed
+agents at every event. The sequential chain's last arrival and distance sum
+are extended by the new group, which gives exactly
+``core.rationality_bounds``, since the chain is a left fold in id order. The
+committed flowtime and makespan are extended by the group's paths (by the
+chain's paths after a fallback) and recomputed only after an ``all``-mode
+replan. Each agent's vertices are checked once, when it is revealed. Outside
+the planners, an event therefore costs O(size of the new group); the
+snapshot's plan copy and an ``all``-mode replan are the exceptions.
 """
 
 from __future__ import annotations
@@ -248,7 +258,9 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
     obstacles = DynamicObstacleSet()
     revealed: list[Agent] = []
     trace_snapshots: list[Snapshot] = []
-    k = 0
+    may_fall_back = policy.rationalized and policy.mode != "new-single"
+    # Running totals over the revealed agents (see the module docstring).
+    chain = dist_sum = flowtime = makespan = 0
     last_time = -1
 
     while True:
@@ -266,31 +278,37 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
             if agent.release != time_k:
                 raise ProtocolViolation("revealed agent's release differs from event time")
             revealed.append(agent)
-        k += 1
-        inst_now = OnlineInstance(graph, tuple(revealed))
-        before = dict(committed)
-        prev_makespan = trace_snapshots[-1].metrics.makespan if trace_snapshots else 0
+        for agent in new_agents:
+            core.validate_agent(agent, graph)
+        for _, start, arrival in sequential_chain(graph, new_agents, chain):
+            dist_sum += arrival - start
+            chain = arrival
+        bounds = (len(revealed) * dist_sum, chain)
+        before = dict(committed) if may_fall_back else None
+        prev_flowtime, prev_makespan = flowtime, makespan
 
-        clashed = _plan_event(committed, obstacles, graph, inst_now, new_agents, time_k, policy,
+        clashed = _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, policy,
                               limits, prev_makespan)
 
-        revealed_ids = range(1, len(revealed) + 1)
-        snap = Snapshot(k, time_k, dict(committed), evaluate(committed, revealed_ids, inst_now),
-                        rationality_bounds(inst_now, k), False)
-        if (policy.rationalized and policy.mode != "new-single"
-                and (clashed or not (snap.flow_ok and snap.make_ok))):
+        if policy.mode == "all":
+            flowtime, makespan = _costs(committed, revealed)
+        else:
+            flowtime, makespan = _costs(committed, new_agents, prev_flowtime, prev_makespan)
+        fallback = may_fall_back and (clashed or flowtime > bounds[0] or makespan > bounds[1])
+        if fallback:
             # Replace the group by the sequential chain after every committed
             # arrival, which meets both ceilings and cannot collide.
             committed.clear()
             committed.update(before)
             for agent, start, _ in sequential_chain(graph, new_agents, max(time_k, prev_makespan)):
                 committed[agent.id] = _chain_path(graph, agent, start)
-            snap = Snapshot(k, time_k, dict(committed), evaluate(committed, revealed_ids, inst_now),
-                            snap.bounds, True)
+            flowtime, makespan = _costs(committed, new_agents, prev_flowtime, prev_makespan)
             obstacles = build_obstacles(committed)
         elif policy.mode == "all":
             obstacles = build_obstacles(committed)
-        trace_snapshots.append(snap)
+        metrics = Metrics(flowtime, makespan, flowtime - dist_sum)
+        trace_snapshots.append(Snapshot(len(trace_snapshots) + 1, time_k, dict(committed), metrics,
+                                        bounds, fallback))
         source.observe(time_k, dict(committed))
 
     instance = OnlineInstance(graph, tuple(revealed))
@@ -317,17 +335,27 @@ def _commit(committed, obstacles, agent_id, path):
     obstacles.add_path(agent_id, path)
 
 
+def _costs(plan, agents, flowtime=0, makespan=0):
+    """Flowtime and makespan of the agents' paths in ``plan``, added to the
+    given totals."""
+    for agent in agents:
+        path = plan[agent.id]
+        flowtime += path.arrival_time - agent.release
+        makespan = max(makespan, path.arrival_time)
+    return flowtime, makespan
+
+
 def _chain_path(graph, agent, start):
     """The path ``sequential_chain`` routes an agent on from ``start``."""
     return Path(start, shortest_path_lex(graph, agent.start, agent.goal))
 
 
-def _plan_event(committed, obstacles, graph, inst_now, new_agents, time_k, policy, limits,
+def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, policy, limits,
                 prev_makespan):
     """Commit the new group's paths; True if a rationalized ``new``-mode
     hook produced a path the reservation table does not admit."""
     if policy.planner == "custom":
-        return _plan_custom(committed, obstacles, graph, inst_now, new_agents, time_k, policy,
+        return _plan_custom(committed, obstacles, graph, revealed, new_agents, time_k, policy,
                             prev_makespan)
     if policy.mode == "new-single":
         _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, prev_makespan)
@@ -344,7 +372,7 @@ def _plan_event(committed, obstacles, graph, inst_now, new_agents, time_k, polic
         for agent_id in sorted(sub):
             _commit(committed, obstacles, agent_id, sub[agent_id])
     else:
-        _replan_all(committed, graph, inst_now, new_agents, time_k, policy, limits, prev_makespan)
+        _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits, prev_makespan)
     return False
 
 
@@ -375,8 +403,9 @@ def _cap_single_path(path, agent, graph, makespan, obstacles):
     return path
 
 
-def _plan_custom(committed, obstacles, graph, inst_now, new_agents, time_k, policy, makespan):
-    ctx = CustomContext(graph, time_k, tuple(new_agents), dict(committed), inst_now)
+def _plan_custom(committed, obstacles, graph, revealed, new_agents, time_k, policy, makespan):
+    ctx = CustomContext(graph, time_k, tuple(new_agents), dict(committed),
+                        OnlineInstance(graph, tuple(revealed)))
     produced = policy.custom(ctx)
     new_ids = {a.id for a in new_agents}
     if set(produced) != new_ids:
@@ -397,14 +426,14 @@ def _plan_custom(committed, obstacles, graph, inst_now, new_agents, time_k, poli
     return clashed
 
 
-def _replan_all(committed, graph, inst_now, new_agents, time_k, policy, limits, prev_makespan):
+def _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits, prev_makespan):
     """Replan every revealed agent's future from time_k on."""
     tasks = []
     prefixes = {}
     fixed_makespan = 0
     incumbent_arrivals = {}
     for aid, path in committed.items():
-        agent = inst_now.agent(aid)
+        agent = revealed[aid - 1]
         if path.arrival_time <= time_k:
             fixed_makespan = max(fixed_makespan, path.arrival_time)
         elif path.start_time <= time_k:

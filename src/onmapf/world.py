@@ -7,7 +7,6 @@ demand and cached on the graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import DisconnectedWorld, EmptyWorld, InvalidEdge, ParseError
@@ -38,15 +37,16 @@ class Graph:
         return cached
 
     def _bfs(self, source: int) -> list[int]:
+        adjacency = self.adjacency
         dist = [-1] * self.vertex_count
         dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for u in self.adjacency[v]:
+        order = [source]  # FIFO: the loop reads the vertices appended behind it
+        for v in order:
+            next_dist = dist[v] + 1
+            for u in adjacency[v]:
                 if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
+                    dist[u] = next_dist
+                    order.append(u)
         return dist
 
     def edge_count(self) -> int:

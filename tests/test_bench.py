@@ -1,5 +1,6 @@
 import pytest
 
+import onmapf.bench
 from onmapf.bench import main
 
 MAP_1X2 = "height 1\nwidth 2\nmap\n..\n"
@@ -198,6 +199,16 @@ def test_verbs_reject_flags_they_do_not_read(capsys):
     capsys.readouterr()
 
 
+def test_flags_are_never_abbreviated(capsys):
+    # Without exact flags, "--m" would read as "--map" and "--fam" as "--family".
+    for argv in (["validate", "--m", "2"],
+                 ["solve", "--fam", "line", "--m", "2", "--rat"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
 def test_solve_budget_exhaustion_is_validation_failure(capsys):
     rc = main(["solve", "--family", "line", "--m", "4", "--policy", "opt-rational",
                "--mode", "new", "--objective", "flowtime", "--node-budget", "2"])
@@ -222,3 +233,38 @@ def test_custom_irrational_unavailable_against_adversary(capsys):
     rc = main(["solve", "--family", "2x2-adversary", "--policy", "custom-irrational"])
     assert rc == 2
     assert "adaptive" in capsys.readouterr().err
+
+
+def test_custom_irrational_solves_the_optimum_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = onmapf.bench.offline_optimal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(onmapf.bench, "offline_optimal", counted)
+    out_dir = tmp_path / "replay"
+    assert main(["ratio", "--family", "grid-random", "--m", "3", "--force",
+                 "--policy", "custom-irrational", "--out", str(out_dir)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "policy replay-optimal: flowtime 18, makespan 16, latency 0; conflicts 0; "
+        "rational at every step: yes",
+        "flowtime ratio: 18/18 = 1.0 (additive gap 0)",
+    ]
+    assert (out_dir / "report.csv").read_text().splitlines()[1] == (
+        "replay-optimal,new-single,flowtime,3,18,16,0,0,1,0,18,18,1.0,0"
+    )
+    assert (out_dir / "steps.csv").read_text() == (
+        "k,time,flowtime,makespan,flow_bound,make_bound,flow_ok,make_ok,fallback\n"
+        "1,4,6,10,6,10,1,1,0\n"
+        "2,7,15,16,30,19,1,1,0\n"
+        "3,9,18,16,54,22,1,1,0\n"
+    )
+    # the refusal still comes before anything is printed
+    assert main(["ratio", "--family", "grid-random", "--m", "6",
+                 "--policy", "custom-irrational"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "use --force" in captured.err
+    assert len(calls) == 1

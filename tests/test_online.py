@@ -8,15 +8,19 @@ from onmapf import (
     build_grid,
     build_obstacles,
     check_global_bounds,
+    RevealSource,
     custom_policy,
     detect_conflicts,
+    evaluate,
     gen_2x2_adversary,
     gen_line,
     gen_random,
     is_rational_at,
     offline_optimal,
     opt_rational,
+    partition_by_release,
     plan_min_arrival,
+    rationality_bounds,
     rationalize_wrap,
     run,
     sequence_policy,
@@ -271,3 +275,69 @@ def test_policy_validation():
         opt_rational("new", "latency")
     with pytest.raises(ValueError):
         custom_policy(lambda ctx: {}, mode="all")
+
+
+def shortest_from_release(ctx):
+    """Custom hook: every new agent walks a shortest path from its release,
+    whatever the committed paths do."""
+    return {a.id: Path(a.release, shortest_path_lex(ctx.graph, a.start, a.goal))
+            for a in ctx.new_agents}
+
+
+def test_snapshots_match_evaluate_and_rationality_bounds():
+    # run keeps running totals; every snapshot must still equal the
+    # from-scratch metrics and ceilings over the revealed agents.
+    instances = [gen_line(2), gen_line(4)] + [random_instance(seed, agents=5) for seed in range(4)]
+    fallbacks = 0
+    for inst in instances:
+        optimum = offline_optimal(inst.graph, inst.agents, objective="flowtime")
+        policies = [sequence_policy(), *ALL_OPT_RATIONAL, wasteful_policy(),
+                    custom_policy(shortest_from_release, mode="new", label="clash"),
+                    replay_policy(optimum)]
+        groups = partition_by_release(inst)
+        for policy in policies + [rationalize_wrap(p) for p in policies]:
+            trace = run(InstanceSource(inst), policy)
+            assert len(trace.snapshots) == len(groups)
+            for snap, group in zip(trace.snapshots, groups):
+                revealed = range(1, group.agent_ids[-1] + 1)
+                assert snap.metrics == evaluate(snap.plan, revealed, inst), policy.name
+                assert snap.bounds == rationality_bounds(inst, snap.k), policy.name
+                fallbacks += snap.fallback
+            assert trace.metrics == trace.snapshots[-1].metrics
+    assert fallbacks > 0  # the fallback's totals are covered too
+
+
+class ScriptedSource(RevealSource):
+    def __init__(self, graph, events):
+        self._graph = graph
+        self._events = list(events)
+        self.observed = []
+
+    def graph(self):
+        return self._graph
+
+    def next_event(self):
+        return self._events.pop(0) if self._events else None
+
+    def observe(self, time, plan):
+        self.observed.append(time)
+
+
+def test_out_of_range_reveal_raises_at_its_event_before_planning():
+    g = build_grid(1, 3)
+    for bad, message in ((Agent(2, 3, 0, 1), "agent 2: start vertex out of range"),
+                         (Agent(2, 0, 5, 1), "agent 2: goal vertex out of range")):
+        hook_calls = []
+
+        def hook(ctx):
+            hook_calls.append(ctx.time)
+            return shortest_from_release(ctx)
+
+        policies = [sequence_policy(), *ALL_OPT_RATIONAL,
+                    custom_policy(hook, mode="new"), custom_policy(hook, mode="new-single")]
+        for policy in policies + [rationalize_wrap(p) for p in policies]:
+            source = ScriptedSource(g, [(0, [Agent(1, 0, 2, 0)]), (1, [bad])])
+            with pytest.raises(ValueError, match=message):
+                run(source, policy)
+            assert source.observed == [0], policy.name
+        assert hook_calls == [0] * 4  # four hook policies, none reached the bad event

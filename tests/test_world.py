@@ -124,6 +124,34 @@ def test_shortest_dist_reads_the_goal_keyed_map():
         assert set(g._dist_cache) == cached
 
 
+def reference_bfs(graph, source):
+    """Independent oracle: grow the reached set one distance layer at a time."""
+    dist = {source: 0}
+    layer = {source}
+    steps = 0
+    while layer:
+        steps += 1
+        layer = {u for v in layer for u in graph.adjacency[v]} - dist.keys()
+        for u in layer:
+            dist[u] = steps
+    return [dist.get(v, -1) for v in range(graph.vertex_count)]
+
+
+def test_dist_from_matches_reference_bfs():
+    rng = random.Random(23)
+    graphs = [random_connected_graph(rng, rng.randint(1, 30)) for _ in range(30)]
+    while len(graphs) < 60:
+        height, width = rng.randint(1, 9), rng.randint(1, 9)
+        blocked = {(r, c) for r in range(height) for c in range(width) if rng.random() < 0.25}
+        try:
+            graphs.append(build_grid(height, width, blocked))
+        except (DisconnectedWorld, EmptyWorld):
+            continue
+    for g in graphs:
+        for source in range(g.vertex_count):
+            assert g.dist_from(source) == reference_bfs(g, source)
+
+
 def test_open_grid_distance_is_manhattan():
     rng = random.Random(3)
     grid = GridMap(5, 6, frozenset())
