@@ -252,11 +252,12 @@ def joint_plan(
     search falls back to a loose completeness horizon that assumes agents can
     outwait all reservations.
 
-    Flowtime is minimized by one search keyed (flowtime, makespan, history).
-    Makespan needs two passes: a max-composed cost has no clean per-state
-    dominance for its tie-breakers, so the first pass finds the exact optimal
-    makespan and the second minimizes flowtime under that makespan as a hard
-    cap (every surviving plan then meets it exactly).
+    One search per objective, ordered (flowtime, makespan, history) or
+    (makespan, flowtime, history). Under makespan the closed key also holds
+    the state's makespan lower bound: two paths that agree on it get the same
+    makespan in every completion, so the one with less flowtime (then the
+    smaller history) dominates, and the first plan popped is the minimum of
+    (makespan, flowtime, history).
     """
     if objective not in ("flowtime", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -268,29 +269,17 @@ def joint_plan(
         limits = DEFAULT_LIMITS
     tasks = sorted(tasks, key=lambda task: task.agent_id)
 
-    if objective == "flowtime":
-        _, plan = _od_search(
-            graph, tasks, "flowtime", frozen, start_time, limits, upper_bound, fixed_makespan, None
-        )
-        return plan
-    best_make, _ = _od_search(
-        graph, tasks, "makespan", frozen, start_time, limits, upper_bound, fixed_makespan, None
-    )
-    _, plan = _od_search(
-        graph, tasks, "flowtime", frozen, start_time, limits, None, fixed_makespan, best_make
-    )
-    return plan
+    return _od_search(graph, tasks, objective, frozen, start_time, limits, upper_bound,
+                      fixed_makespan)
 
 
-def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_makespan, make_cap):
-    """One operator-decomposition A* pass; returns (optimal value, plan)."""
+def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_makespan):
+    """One operator-decomposition A* pass; returns the optimal plan."""
     n = len(tasks)
     dist_maps = [graph.dist_from(task.goal) for task in tasks]
     flow_primary = primary == "flowtime"
     latest = max([t0] + [task.release for task in tasks])
-    if make_cap is not None:
-        horizon = make_cap + 1
-    elif upper_bound is not None:
+    if upper_bound is not None:
         horizon = (latest + upper_bound + 1) if flow_primary else (upper_bound + 1)
     else:
         horizon = max(latest, frozen.horizon) + (n + 1) * graph.vertex_count + 1
@@ -344,8 +333,6 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         make_lb = fixed_makespan
         for i in range(n):
             make_lb = max(make_lb, arrival_floor(pos[i], t0, i))
-        if make_cap is not None and make_lb > make_cap:
-            continue
         f1, f2 = (h_flow, make_lb) if flow_primary else (make_lb, h_flow)
         if upper_bound is not None and f1 > upper_bound:
             continue
@@ -360,8 +347,8 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         if pops > limits.node_budget:
             raise BudgetExhausted(f"joint search exceeded {limits.node_budget} pops")
         if all(p == DONE for p in pos):
-            return f1, _reconstruct(hist, tasks, t0)
-        key = (t, j, pos)
+            return _reconstruct(hist, tasks, t0)
+        key = (t, j, pos) if flow_primary else (t, j, pos, make_lb)
         if key in closed:
             continue
         closed.add(key)
@@ -402,8 +389,6 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
                 m2 = max(make_lb, nt)
             else:
                 m2 = max(make_lb, arrival_floor(new_token, nt, j))
-            if make_cap is not None and m2 > make_cap:
-                continue
             nf1, nf2 = (g2 + h2, m2) if flow_primary else (m2, g2 + h2)
             if upper_bound is not None and nf1 > upper_bound:
                 continue
