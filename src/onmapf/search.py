@@ -348,7 +348,10 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
             raise BudgetExhausted(f"joint search exceeded {limits.node_budget} pops")
         if all(p == DONE for p in pos):
             return _reconstruct(hist, tasks, t0)
-        key = (t, j, pos) if flow_primary else (t, j, pos, make_lb)
+        # An earlier move u->v in this layer forbids v->u to the agents still
+        # to move, so the key keeps the moves into their current vertices.
+        swaps = tuple(mv for mv in layer_moves if mv[1] in pos[j:])
+        key = (t, j, pos, swaps) if flow_primary else (t, j, pos, swaps, make_lb)
         if key in closed:
             continue
         closed.add(key)

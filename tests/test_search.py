@@ -258,10 +258,9 @@ def _witness_metrics(inst, witness):
     return evaluate(witness, [a.id for a in inst.agents], inst)
 
 
-# The joint search closes operator-decomposition states on (t, j, pos), which
-# ignores the moves already made in the current layer; two states with one key
-# can then have different futures, and the search may drop the optimal one.
-@pytest.mark.xfail(strict=True, reason="closed-set key (t, j, pos) ignores layer moves")
+# A closed key of (t, j, pos) alone ignores the moves already made in the
+# current layer; two states with one key can then have different futures,
+# and the search used to drop the optimal one on both instances below.
 def test_offline_optimal_two_agents_on_open_2x2():
     g = build_grid(2, 2)
     inst = OnlineInstance(g, (Agent(1, 2, 1, 0), Agent(2, 1, 0, 1)))
@@ -270,14 +269,13 @@ def test_offline_optimal_two_agents_on_open_2x2():
     assert (metrics.flowtime, metrics.makespan) == (3, 2)
     flow = evaluate(offline_optimal(g, inst.agents, objective="flowtime"), [1, 2], inst)
     make = evaluate(offline_optimal(g, inst.agents, objective="makespan"), [1, 2], inst)
-    assert (flow.flowtime, make.makespan) == (3, 2)  # the search returns (4, 3)
+    assert (flow.flowtime, make.makespan) == (3, 2)  # (4, 3) with the short key
 
 
-@pytest.mark.xfail(strict=True, reason="closed-set key (t, j, pos) ignores layer moves")
 def test_offline_optimal_three_agents_flowtime():
     g = build_graph(4, [(0, 1), (0, 3), (1, 2), (1, 3)])
     inst = OnlineInstance(g, (Agent(1, 0, 2, 0), Agent(2, 3, 2, 2), Agent(3, 2, 3, 2)))
     witness = {1: Path(0, (0, 1, 2)), 2: Path(2, (3, 0, 1, 2)), 3: Path(2, (2, 1, 3))}
     assert _witness_metrics(inst, witness).flowtime == 7
     plan = offline_optimal(g, inst.agents, objective="flowtime")
-    assert evaluate(plan, [1, 2, 3], inst).flowtime == 7  # the search returns 8
+    assert evaluate(plan, [1, 2, 3], inst).flowtime == 7  # 8 with the short key
