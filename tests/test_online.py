@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from onmapf import (
@@ -148,9 +150,9 @@ def test_commitment_invariant_for_non_rerouting_modes():
 
 
 def test_prefix_invariant_for_plan_all():
-    for seed in range(6):
+    for seed, objective in itertools.product(range(6), ("flowtime", "makespan")):
         inst = random_instance(seed, agents=5, max_release=8)
-        trace = run(InstanceSource(inst), opt_rational("all", "flowtime"))
+        trace = run(InstanceSource(inst), opt_rational("all", objective))
         snaps = trace.snapshots
         for earlier, later in zip(snaps, snaps[1:]):
             cut = later.time

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from onmapf import (
     Agent,
     BudgetExhausted,
     DynamicObstacleSet,
+    JointTask,
     OnlineInstance,
     Path,
     SearchLimits,
@@ -14,6 +16,7 @@ from onmapf import (
     detect_conflicts,
     evaluate,
     gen_line,
+    joint_plan,
     offline_optimal,
     plan_min_arrival,
     validate_path,
@@ -279,3 +282,211 @@ def test_offline_optimal_three_agents_flowtime():
     assert _witness_metrics(inst, witness).flowtime == 7
     plan = offline_optimal(g, inst.agents, objective="flowtime")
     assert evaluate(plan, [1, 2, 3], inst).flowtime == 7  # 8 with the short key
+
+
+# ---------------------------------------------------------------------------
+# brute-force joint reference: full joint moves, no operator decomposition
+
+
+def _reference_moves(token, task, t, adjacency, vertex_res, edge_res):
+    """(next token, move or None) for one agent stepping from t to t + 1."""
+    entry, _, goal, release = task
+    if token == "done":
+        return [("done", None)]
+    if token == "off":
+        options = [("off", None)]
+        if release <= t + 1 and (entry, t + 1) not in vertex_res:
+            options.append((entry, None))
+        return options
+    options = [(token, None)] if (token, t + 1) not in vertex_res else []
+    for u in adjacency[token]:
+        if (u, token, t) in edge_res:  # a reserved move u->token swaps with ours
+            continue
+        if u == goal:
+            options.append(("done", (token, u)))
+        elif (u, t + 1) not in vertex_res:
+            options.append((u, (token, u)))
+    return options
+
+
+def joint_reference(adjacency, tasks, t0, vertex_res, edge_res, fixed_makespan):
+    """Exact optima by a layered search over joint configurations in time.
+
+    ``tasks`` holds (entry, current, goal, release) with exactly one of entry
+    and current set; reservations are plain (v, t) and (u, v, t) sets. Returns
+    (least flowtime, least makespan, least flowtime among makespan-optimal
+    plans), or None when no plan exists (say, two agents that must swap on
+    one edge).
+    """
+    roots = []
+    for entry, current, _, release in tasks:
+        if current is not None:
+            roots.append([current])
+        elif release <= t0 and (entry, t0) not in vertex_res:
+            roots.append(["off", entry])
+        else:
+            roots.append(["off"])
+    layer = {}
+    for tokens in itertools.product(*roots):
+        placed = [tok for tok in tokens if isinstance(tok, int)]
+        if len(placed) == len(set(placed)):
+            layer[tokens] = 0
+    finished = {}  # time the last agent arrived -> least flowtime
+    t = t0
+    while layer:
+        live = min(layer.values())
+        first = min(finished, default=None)
+        if first is not None and t >= max(fixed_makespan, first) and live >= min(finished.values()):
+            break
+        if first is None and t > t0 + 30:
+            return None  # the agents can only wait: no plan on graphs this small
+        assert t < t0 + 60, "reference did not terminate"
+        following = {}
+        for tokens, cost in layer.items():
+            cost += sum(1 for tok, task in zip(tokens, tasks) if tok != "done" and task[3] <= t)
+            choices = [_reference_moves(tok, task, t, adjacency, vertex_res, edge_res)
+                       for tok, task in zip(tokens, tasks)]
+            for combo in itertools.product(*choices):
+                nxt = tuple(tok for tok, _ in combo)
+                placed = [tok for tok in nxt if isinstance(tok, int)]
+                moves = {mv for _, mv in combo if mv is not None}
+                if len(placed) != len(set(placed)) or any((v, u) in moves for u, v in moves):
+                    continue
+                if all(tok == "done" for tok in nxt):
+                    finished[t + 1] = min(finished.get(t + 1, cost), cost)
+                elif following.get(nxt, cost + 1) > cost:
+                    following[nxt] = cost
+        layer = following
+        t += 1
+    if not finished:
+        return None
+    best_make = max(fixed_makespan, min(finished))
+    return (min(finished.values()), best_make,
+            min(cost for end, cost in finished.items() if end <= best_make))
+
+
+def _random_joint_case(rng):
+    """A small graph, frozen walks and 1-3 tasks, some already in the graph.
+    An agent may start on its own goal; it then has to leave and come back."""
+    g = random_connected_graph(rng, rng.randint(3, 6))
+    n = g.vertex_count
+    t0 = rng.randint(0, 2)
+    walks = random_walk_paths(rng, g, rng.randrange(3), 6) if rng.random() < 0.6 else {}
+    vertex_res = {(v, p.start_time + i) for p in walks.values() for i, v in enumerate(p.vertices[:-1])}
+    edge_res = {mv for p in walks.values() for mv in p.moves()}
+    tasks = []
+    used = set()
+    for aid in range(1, rng.randint(1, 3) + 1):
+        goal = rng.randrange(n)
+        if rng.random() < 0.4:
+            free = [v for v in range(n) if v not in used and (v, t0) not in vertex_res]
+            if not free:
+                continue
+            current = rng.choice(free)
+            used.add(current)
+            tasks.append(JointTask(aid, goal, rng.randint(0, t0), current=current))
+        else:
+            tasks.append(JointTask(aid, goal, rng.randint(0, 3), entry=rng.randrange(n)))
+    return g, t0, walks, vertex_res, edge_res, tasks
+
+
+def _plan_problems(adjacency, plan, tasks, t0, vertex_res, edge_res):
+    """Shape, reservation and mutual collision problems of a joint plan."""
+    problems = []
+    occupied = {}
+    moves = {}
+    for task in tasks:
+        path = plan[task.agent_id]
+        verts = path.vertices
+        if task.current is not None:
+            problems += [] if (path.start_time, verts[0]) == (t0, task.current) else ["start"]
+        elif verts[0] != task.entry or path.start_time < max(t0, task.release):
+            problems.append("entry")
+        # the one move into the goal is the last step (an agent that starts on
+        # its goal may wait there before it leaves)
+        into_goal = [i for i in range(len(verts) - 1) if verts[i] != verts[i + 1] == task.goal]
+        if into_goal != [len(verts) - 2]:
+            problems.append("goal")
+        for i in range(len(verts) - 1):
+            t = path.start_time + i
+            u, v = verts[i], verts[i + 1]
+            if u != v and v not in adjacency[u]:
+                problems.append("jump")
+            if (u, t) in vertex_res or (v, u, t) in edge_res:
+                problems.append("reservation")
+            if occupied.setdefault((u, t), task.agent_id) != task.agent_id:
+                problems.append("vertex clash")
+            if u != v:
+                moves[(u, v, t)] = task.agent_id
+    problems += ["swap" for u, v, t in moves if (v, u, t) in moves]
+    return problems
+
+
+def test_joint_plan_matches_brute_force_reference():
+    rng = random.Random(2024)
+    checked = {"flowtime": 0, "makespan": 0}
+    with_current = with_frozen = 0
+    while sum(checked.values()) < 300:
+        g, t0, walks, vertex_res, edge_res, tasks = _random_joint_case(rng)
+        if not tasks:
+            continue
+        fixed_makespan = rng.choice([0, 0, t0 + rng.randint(1, 6)])
+        ref_tasks = [(task.entry, task.current, task.goal, task.release) for task in tasks]
+        reference = joint_reference(g.adjacency, ref_tasks, t0, vertex_res, edge_res, fixed_makespan)
+        if reference is None:
+            continue
+        best_flow, best_make, flow_at_best_make = reference
+        objective = rng.choice(["flowtime", "makespan"])
+        # any feasible plan's cost bounds the search; the optimum plus slack is one
+        upper = (best_flow if objective == "flowtime" else best_make) + rng.randrange(3)
+        frozen = DynamicObstacleSet()
+        for wid, walk in walks.items():
+            frozen.add_path(wid, walk)
+        plan = joint_plan(g, tasks, objective, frozen=frozen, start_time=t0,
+                          upper_bound=upper, fixed_makespan=fixed_makespan)
+        assert sorted(plan) == [task.agent_id for task in tasks]
+        assert _plan_problems(g.adjacency, plan, tasks, t0, vertex_res, edge_res) == []
+        flowtime = sum(plan[task.agent_id].arrival_time - max(task.release, t0) for task in tasks)
+        makespan = max([fixed_makespan] + [path.arrival_time for path in plan.values()])
+        if objective == "flowtime":
+            assert flowtime == best_flow
+        else:
+            assert (makespan, flowtime) == (best_make, flow_at_best_make)
+        checked[objective] += 1
+        with_current += any(task.current is not None for task in tasks)
+        with_frozen += bool(walks)
+    assert min(checked.values()) > 100 and with_current > 50 and with_frozen > 50
+
+
+def test_makespan_key_holds_the_makespan_bound():
+    # Agent 3 sits on its goal, so its arrival floor is below its arrival,
+    # and agent 1 arriving in the same layer raises the makespan bound of a
+    # state without changing (t, j, pos). A closed key without that bound
+    # keeps the first path to reach such a state and returns flowtime 9.
+    g = build_graph(6, [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4)])
+    tasks = [JointTask(1, 3, 1, entry=0), JointTask(2, 2, 4, entry=2),
+             JointTask(3, 0, 0, current=0)]
+    ref_tasks = [(task.entry, task.current, task.goal, task.release) for task in tasks]
+    assert joint_reference(g.adjacency, ref_tasks, 0, set(), set(), 0) == (8, 6, 8)
+    plan = joint_plan(g, tasks, "makespan", start_time=0, upper_bound=6)
+    assert _plan_problems(g.adjacency, plan, tasks, 0, set(), set()) == []
+    assert max(path.arrival_time for path in plan.values()) == 6
+    assert sum(plan[task.agent_id].arrival_time - task.release for task in tasks) == 8
+
+
+def test_makespan_objective_counts_fixed_arrivals():
+    # Agent 2 can leave at once and arrive at 3, holding agent 1 back to 6
+    # (flowtime 7, makespan 6), or wait so that both arrive at 5 (flowtime 8,
+    # makespan 5). An agent outside the search that arrives at 6 makes both
+    # plans makespan-optimal, and then the smaller flowtime wins.
+    g = build_graph(5, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    tasks = [JointTask(1, 4, 2, entry=0), JointTask(2, 0, 0, entry=4)]
+    ref_tasks = [(task.entry, task.current, task.goal, task.release) for task in tasks]
+    for fixed_makespan, (makespan, flowtime) in ((0, (5, 8)), (6, (6, 7))):
+        reference = joint_reference(g.adjacency, ref_tasks, 0, set(), set(), fixed_makespan)
+        assert reference == (7, makespan, flowtime)
+        plan = joint_plan(g, tasks, "makespan", start_time=0, upper_bound=6,
+                          fixed_makespan=fixed_makespan)
+        assert _plan_problems(g.adjacency, plan, tasks, 0, set(), set()) == []
+        assert max(fixed_makespan, plan[1].arrival_time, plan[2].arrival_time) == makespan
+        assert plan[1].arrival_time - 2 + plan[2].arrival_time == flowtime
