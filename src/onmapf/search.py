@@ -2,16 +2,18 @@
 
 ``plan_min_arrival`` is a space-time A* against a reservation table: states are
 (vertex, time) plus an off-graph chain that lets an agent delay its entry
-arbitrarily long. ``offline_optimal`` runs A* with operator decomposition over
-joint configurations: within one time step the agents are advanced one at a
-time, which keeps the branching factor per node at the single-agent level.
+arbitrarily long. ``joint_plan`` (and ``offline_optimal`` on top of it) runs
+one A* pass with operator decomposition over joint configurations for either
+objective: within one time step the agents are advanced one at a time, which
+keeps the branching factor per node at the single-agent level.
 
 Both searches are exact and fully deterministic. The single-agent search
 breaks ties by fewest waits, then by the lexicographically smallest vertex
 sequence; the joint search breaks ties by the secondary objective (makespan
 under flowtime and vice versa), then by the lexicographically smallest
-configuration history. Heuristics are exact graph distances, so reported
-optima are exact, not approximate.
+configuration history. Heuristics are exact graph distances, and the joint
+search closes a state only on a key that fixes the cost of every completion
+(see ``joint_plan``), so reported optima are exact, not approximate.
 """
 
 from __future__ import annotations
@@ -237,8 +239,8 @@ def joint_plan(
     *,
     frozen: DynamicObstacleSet | None = None,
     start_time: int,
+    upper_bound: int,
     limits: SearchLimits | None = None,
-    upper_bound: int | None = None,
     fixed_makespan: int = 0,
 ) -> Plan:
     """Exact joint plan over explicit tasks; see ``offline_optimal``.
@@ -246,18 +248,21 @@ def joint_plan(
     Returns one path per task; paths of tasks given by ``current`` start at
     ``start_time`` at that vertex (callers splice their executed prefixes back
     on). ``upper_bound`` is the cost of a known feasible plan in the same
-    units as the objective; it prunes and sets the horizon but never changes
-    the optimum. Callers supply it (``offline_optimal`` passes the sequential
-    chain's cost, the ``all``-mode replan its incumbent); without one the
-    search falls back to a loose completeness horizon that assumes agents can
-    outwait all reservations.
+    units as the objective (``offline_optimal`` passes the sequential chain's
+    cost, the ``all``-mode replan its incumbent); it prunes and sets the time
+    horizon but never changes the optimum.
 
-    One search per objective, ordered (flowtime, makespan, history) or
-    (makespan, flowtime, history). Under makespan the closed key also holds
-    the state's makespan lower bound: two paths that agree on it get the same
-    makespan in every completion, so the one with less flowtime (then the
-    smaller history) dominates, and the first plan popped is the minimum of
-    (makespan, flowtime, history).
+    One A* pass per objective, ordered (flowtime, makespan, history) or
+    (makespan, flowtime, history). A state is closed on a key that fixes the
+    cost of every completion, so the first path to reach it dominates later
+    ones and the first plan popped is the minimum of that order. The key is
+    the time, the next agent to move and the configuration, plus:
+
+    * the moves already made in this layer into vertices that agents still to
+      move hold, since a move u->v forbids v->u to the agent at v;
+    * under makespan, the state's makespan lower bound (realized arrivals and
+      arrival floors): paths that agree on it get the same makespan in every
+      completion, so less flowtime, then the smaller history, wins.
     """
     if objective not in ("flowtime", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -278,11 +283,10 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
     n = len(tasks)
     dist_maps = [graph.dist_from(task.goal) for task in tasks]
     flow_primary = primary == "flowtime"
-    latest = max([t0] + [task.release for task in tasks])
-    if upper_bound is not None:
-        horizon = (latest + upper_bound + 1) if flow_primary else (upper_bound + 1)
+    if flow_primary:  # no agent is in service longer than the whole flowtime
+        horizon = max([t0] + [task.release for task in tasks]) + upper_bound + 1
     else:
-        horizon = max(latest, frozen.horizon) + (n + 1) * graph.vertex_count + 1
+        horizon = upper_bound + 1
 
     def rho(token, tau, idx):
         # Remaining-service lower bound of one agent, counted from time tau.
@@ -334,7 +338,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         for i in range(n):
             make_lb = max(make_lb, arrival_floor(pos[i], t0, i))
         f1, f2 = (h_flow, make_lb) if flow_primary else (make_lb, h_flow)
-        if upper_bound is not None and f1 > upper_bound:
+        if f1 > upper_bound:
             continue
         heapq.heappush(heap, (f1, f2, pos, push_id, t0, 0, pos, 0, h_flow, make_lb, ()))
         push_id += 1
@@ -393,7 +397,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
             else:
                 m2 = max(make_lb, arrival_floor(new_token, nt, j))
             nf1, nf2 = (g2 + h2, m2) if flow_primary else (m2, g2 + h2)
-            if upper_bound is not None and nf1 > upper_bound:
+            if nf1 > upper_bound:
                 continue
             new_pos = pos[:j] + (new_token,) + pos[j + 1:]
             if j + 1 == n:
