@@ -347,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def verb(name, summary):
-        return sub.add_parser(name, help=summary, allow_abbrev=False)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(verb_parser=p)
+        return p
 
     _add_run(verb("solve", "run one policy on one instance source"))
     _add_run(verb("ratio", "run a policy and compare against the optimum"))
@@ -368,7 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # argparse hands a verb's unknown flags back to the top-level parser;
+        # report them with the verb's own usage instead.
+        args.verb_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if args.verb in ("solve", "ratio"):
             cmd_run(args, with_ratio=args.verb == "ratio")

@@ -199,6 +199,15 @@ def test_verbs_reject_flags_they_do_not_read(capsys):
     capsys.readouterr()
 
 
+def test_unknown_flag_reports_the_verb_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--m", "8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: onmapf sweep ")
+    assert err.endswith("onmapf sweep: error: unrecognized arguments: --m 8\n")
+
+
 def test_flags_are_never_abbreviated(capsys):
     # Without exact flags, "--m" would read as "--map" and "--fam" as "--family".
     for argv in (["validate", "--m", "2"],
