@@ -261,9 +261,9 @@ def _witness_metrics(inst, witness):
     return evaluate(witness, [a.id for a in inst.agents], inst)
 
 
-# A closed key of (t, j, pos) alone ignores the moves already made in the
-# current layer; two states with one key can then have different futures,
-# and the search used to drop the optimal one on both instances below.
+# Two joint states with one (t, j, pos) can differ in the moves already made
+# in the current layer, and so in their futures: a closed key without those
+# moves loses the optimum on both instances below.
 def test_offline_optimal_two_agents_on_open_2x2():
     g = build_grid(2, 2)
     inst = OnlineInstance(g, (Agent(1, 2, 1, 0), Agent(2, 1, 0, 1)))
