@@ -290,19 +290,18 @@ def test_offline_optimal_three_agents_flowtime():
 
 def _reference_moves(token, task, t, adjacency, vertex_res, edge_res):
     """(next token, move or None) for one agent stepping from t to t + 1."""
-    entry, _, goal, release = task
     if token == "done":
         return [("done", None)]
     if token == "off":
         options = [("off", None)]
-        if release <= t + 1 and (entry, t + 1) not in vertex_res:
-            options.append((entry, None))
+        if task.release <= t + 1 and (task.entry, t + 1) not in vertex_res:
+            options.append((task.entry, None))
         return options
     options = [(token, None)] if (token, t + 1) not in vertex_res else []
     for u in adjacency[token]:
         if (u, token, t) in edge_res:  # a reserved move u->token swaps with ours
             continue
-        if u == goal:
+        if u == task.goal:
             options.append(("done", (token, u)))
         elif (u, t + 1) not in vertex_res:
             options.append((u, (token, u)))
@@ -312,18 +311,18 @@ def _reference_moves(token, task, t, adjacency, vertex_res, edge_res):
 def joint_reference(adjacency, tasks, t0, vertex_res, edge_res, fixed_makespan):
     """Exact optima by a layered search over joint configurations in time.
 
-    ``tasks`` holds (entry, current, goal, release) with exactly one of entry
-    and current set; reservations are plain (v, t) and (u, v, t) sets. Returns
+    ``tasks`` are ``JointTask``s; reservations are plain (v, t) and (u, v, t)
+    sets. Returns
     (least flowtime, least makespan, least flowtime among makespan-optimal
     plans), or None when no plan exists (say, two agents that must swap on
     one edge).
     """
     roots = []
-    for entry, current, _, release in tasks:
-        if current is not None:
-            roots.append([current])
-        elif release <= t0 and (entry, t0) not in vertex_res:
-            roots.append(["off", entry])
+    for task in tasks:
+        if task.current is not None:
+            roots.append([task.current])
+        elif task.release <= t0 and (task.entry, t0) not in vertex_res:
+            roots.append(["off", task.entry])
         else:
             roots.append(["off"])
     layer = {}
@@ -343,7 +342,8 @@ def joint_reference(adjacency, tasks, t0, vertex_res, edge_res, fixed_makespan):
         assert t < t0 + 60, "reference did not terminate"
         following = {}
         for tokens, cost in layer.items():
-            cost += sum(1 for tok, task in zip(tokens, tasks) if tok != "done" and task[3] <= t)
+            cost += sum(1 for tok, task in zip(tokens, tasks)
+                        if tok != "done" and task.release <= t)
             choices = [_reference_moves(tok, task, t, adjacency, vertex_res, edge_res)
                        for tok, task in zip(tokens, tasks)]
             for combo in itertools.product(*choices):
@@ -372,7 +372,8 @@ def _random_joint_case(rng):
     n = g.vertex_count
     t0 = rng.randint(0, 2)
     walks = random_walk_paths(rng, g, rng.randrange(3), 6) if rng.random() < 0.6 else {}
-    vertex_res = {(v, p.start_time + i) for p in walks.values() for i, v in enumerate(p.vertices[:-1])}
+    vertex_res = {(v, p.start_time + i)
+                  for p in walks.values() for i, v in enumerate(p.vertices[:-1])}
     edge_res = {mv for p in walks.values() for mv in p.moves()}
     tasks = []
     used = set()
@@ -399,7 +400,8 @@ def _plan_problems(adjacency, plan, tasks, t0, vertex_res, edge_res):
         path = plan[task.agent_id]
         verts = path.vertices
         if task.current is not None:
-            problems += [] if (path.start_time, verts[0]) == (t0, task.current) else ["start"]
+            if (path.start_time, verts[0]) != (t0, task.current):
+                problems.append("start")
         elif verts[0] != task.entry or path.start_time < max(t0, task.release):
             problems.append("entry")
         # the one move into the goal is the last step (an agent that starts on
@@ -431,8 +433,7 @@ def test_joint_plan_matches_brute_force_reference():
         if not tasks:
             continue
         fixed_makespan = rng.choice([0, 0, t0 + rng.randint(1, 6)])
-        ref_tasks = [(task.entry, task.current, task.goal, task.release) for task in tasks]
-        reference = joint_reference(g.adjacency, ref_tasks, t0, vertex_res, edge_res, fixed_makespan)
+        reference = joint_reference(g.adjacency, tasks, t0, vertex_res, edge_res, fixed_makespan)
         if reference is None:
             continue
         best_flow, best_make, flow_at_best_make = reference
@@ -466,8 +467,7 @@ def test_makespan_key_holds_the_makespan_bound():
     g = build_graph(6, [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4)])
     tasks = [JointTask(1, 3, 1, entry=0), JointTask(2, 2, 4, entry=2),
              JointTask(3, 0, 0, current=0)]
-    ref_tasks = [(task.entry, task.current, task.goal, task.release) for task in tasks]
-    assert joint_reference(g.adjacency, ref_tasks, 0, set(), set(), 0) == (8, 6, 8)
+    assert joint_reference(g.adjacency, tasks, 0, set(), set(), 0) == (8, 6, 8)
     plan = joint_plan(g, tasks, "makespan", start_time=0, upper_bound=6)
     assert _plan_problems(g.adjacency, plan, tasks, 0, set(), set()) == []
     assert max(path.arrival_time for path in plan.values()) == 6
@@ -481,9 +481,8 @@ def test_makespan_objective_counts_fixed_arrivals():
     # plans makespan-optimal, and then the smaller flowtime wins.
     g = build_graph(5, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
     tasks = [JointTask(1, 4, 2, entry=0), JointTask(2, 0, 0, entry=4)]
-    ref_tasks = [(task.entry, task.current, task.goal, task.release) for task in tasks]
     for fixed_makespan, (makespan, flowtime) in ((0, (5, 8)), (6, (6, 7))):
-        reference = joint_reference(g.adjacency, ref_tasks, 0, set(), set(), fixed_makespan)
+        reference = joint_reference(g.adjacency, tasks, 0, set(), set(), fixed_makespan)
         assert reference == (7, makespan, flowtime)
         plan = joint_plan(g, tasks, "makespan", start_time=0, upper_bound=6,
                           fixed_makespan=fixed_makespan)
