@@ -259,7 +259,9 @@ def joint_plan(
     the time, the next agent to move and the configuration, plus:
 
     * the moves already made in this layer into vertices that agents still to
-      move hold, since a move u->v forbids v->u to the agent at v;
+      move hold, since a move u->v forbids v->u to the agent at v (each state
+      carries these moves already filtered when it is pushed, so the key reads
+      them as they are and the swap test scans only them);
     * under makespan, the state's makespan lower bound (realized arrivals and
       arrival floors): paths that agree on it get the same makespan in every
       completion, so less flowtime, then the smaller history, wins.
@@ -282,9 +284,12 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
     """One operator-decomposition A* pass; returns the optimal plan."""
     n = len(tasks)
     dist_maps = [graph.dist_from(task.goal) for task in tasks]
+    releases = [task.release for task in tasks]
+    entry_dist = [None if task.entry is None else dist_maps[idx][task.entry]
+                  for idx, task in enumerate(tasks)]
     flow_primary = primary == "flowtime"
     if flow_primary:  # no agent is in service longer than the whole flowtime
-        horizon = max([t0] + [task.release for task in tasks]) + upper_bound + 1
+        horizon = max([t0] + releases) + upper_bound + 1
     else:
         horizon = upper_bound + 1
 
@@ -293,15 +298,15 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         if token == DONE:
             return 0
         if token == PENDING:
-            d = dist_maps[idx][tasks[idx].entry]
-            return 1 + d if tasks[idx].release <= tau else d
+            d = entry_dist[idx]
+            return 1 + d if releases[idx] <= tau else d
         return dist_maps[idx][token]
 
     def arrival_floor(token, tau, idx):
         # Earliest possible arrival time of one agent, given its position.
         if token == PENDING:
-            d = dist_maps[idx][tasks[idx].entry]
-            return tau + 1 + d if tasks[idx].release <= tau else tasks[idx].release + d
+            d = entry_dist[idx]
+            return tau + 1 + d if releases[idx] <= tau else releases[idx] + d
         return tau + dist_maps[idx][token]
 
     # Root configurations: agents already in the graph sit at their frozen
@@ -343,18 +348,24 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         heapq.heappush(heap, (f1, f2, pos, push_id, t0, 0, pos, 0, h_flow, make_lb, ()))
         push_id += 1
 
+    vertex_res = frozen.vertex_reservations
+    edge_res = frozen.edge_reservations
+    adjacency = graph.adjacency
+    heappush, heappop = heapq.heappush, heapq.heappop
+    budget = limits.node_budget
+    finished = (DONE,) * n
     closed = set()
     pops = 0
     while heap:
-        f1, f2, hist, _, t, j, pos, g_flow, h_flow, make_lb, layer_moves = heapq.heappop(heap)
+        f1, f2, hist, _, t, j, pos, g_flow, h_flow, make_lb, swaps = heappop(heap)
         pops += 1
-        if pops > limits.node_budget:
+        if pops > budget:
             raise BudgetExhausted(f"joint search exceeded {limits.node_budget} pops")
-        if all(p == DONE for p in pos):
+        if pos == finished:
             return _reconstruct(hist, tasks, t0)
-        # An earlier move u->v in this layer forbids v->u to the agents still
-        # to move, so the key keeps the moves into their current vertices.
-        swaps = tuple(mv for mv in layer_moves if mv[1] in pos[j:])
+        # ``swaps``: the moves made earlier in this layer into vertices that
+        # agents j.. still hold (a move u->v forbids v->u to the agent at v),
+        # filtered when the state was pushed.
         key = (t, j, pos, swaps) if flow_primary else (t, j, pos, swaps, make_lb)
         if key in closed:
             continue
@@ -362,50 +373,59 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         nt = t + 1
         if nt > horizon:
             continue
-        task = tasks[j]
         token = pos[j]
-        accrual = 1 if (task.release <= t and token != DONE) else 0
-        occupied_next = [p for p in pos[:j] if p >= 0]
+        before, after = pos[:j], pos[j + 1:]  # tokens are negative, never a vertex
+        dist = dist_maps[j]
 
-        options = []  # (new token, move edge or None)
+        # Agent j's accrual and rho(token, t, j) once per pop; each option
+        # carries rho(new token, nt, j) and the arrival floor (nt on arrival)
+        # that it puts into the makespan bound.
+        options = []  # (new token, move edge or None, rho, arrival floor)
         if token == DONE:
-            options.append((DONE, None))
+            g2, h_rest = g_flow, h_flow
+            options.append((DONE, None, 0, make_lb))
         elif token == PENDING:
-            options.append((PENDING, None))
-            s = task.entry
-            if task.release <= nt and s not in occupied_next and frozen.vertex_free(s, nt):
-                options.append((s, None))
+            d = entry_dist[j]
+            released = releases[j] <= t
+            g2 = g_flow + 1 if released else g_flow
+            h_rest = h_flow - (1 + d if released else d)
+            if releases[j] <= nt:
+                options.append((PENDING, None, 1 + d, nt + 1 + d))
+                s = tasks[j].entry
+                if s not in before and (s, nt) not in vertex_res:
+                    options.append((s, None, d, nt + d))
+            else:
+                options.append((PENDING, None, d, releases[j] + d))
         else:
             v = token
-            if v not in occupied_next and frozen.vertex_free(v, nt):
-                options.append((v, None))
-            for u in graph.adjacency[v]:
-                if not frozen.swap_free(v, u, t) or (u, v) in layer_moves:
+            g2 = g_flow + 1 if releases[j] <= t else g_flow
+            h_rest = h_flow - dist[v]
+            if v not in before and (v, nt) not in vertex_res:
+                options.append((v, None, dist[v], nt + dist[v]))
+            goal = tasks[j].goal
+            for u in adjacency[v]:
+                if ((u, v), t) in edge_res or (u, v) in swaps:
                     continue
-                if u == task.goal:
-                    options.append((DONE, (v, u)))
-                elif u not in occupied_next and frozen.vertex_free(u, nt):
-                    options.append((u, (v, u)))
+                if u == goal:
+                    options.append((DONE, (v, u), 0, nt))
+                elif u not in before and (u, nt) not in vertex_res:
+                    options.append((u, (v, u), dist[u], nt + dist[u]))
 
-        for new_token, edge in options:
-            g2 = g_flow + accrual
-            h2 = h_flow - rho(token, t, j) + rho(new_token, nt, j)
-            if token == DONE:
-                m2 = make_lb
-            elif new_token == DONE:
-                m2 = max(make_lb, nt)
-            else:
-                m2 = max(make_lb, arrival_floor(new_token, nt, j))
+        last = j + 1 == n
+        kept = tuple(mv for mv in swaps if mv[1] in after) if swaps and not last else ()
+        for new_token, edge, rho_new, floor in options:
+            h2 = h_rest + rho_new
+            m2 = floor if floor > make_lb else make_lb
             nf1, nf2 = (g2 + h2, m2) if flow_primary else (m2, g2 + h2)
             if nf1 > upper_bound:
                 continue
-            new_pos = pos[:j] + (new_token,) + pos[j + 1:]
-            if j + 1 == n:
+            new_pos = before + (new_token,) + after
+            if last:
                 entry = (nf1, nf2, hist + (new_token,), push_id, nt, 0, new_pos, g2, h2, m2, ())
             else:
-                moves = layer_moves + (edge,) if edge else layer_moves
+                moves = kept + (edge,) if edge and edge[1] in after else kept
                 entry = (nf1, nf2, hist + (new_token,), push_id, t, j + 1, new_pos, g2, h2, m2, moves)
-            heapq.heappush(heap, entry)
+            heappush(heap, entry)
             push_id += 1
 
     raise BudgetExhausted(f"joint search found no plan within horizon {horizon}")

@@ -7,6 +7,7 @@ from onmapf import (
     Agent,
     BudgetExhausted,
     DynamicObstacleSet,
+    InstanceSource,
     JointTask,
     OnlineInstance,
     Path,
@@ -18,7 +19,9 @@ from onmapf import (
     gen_line,
     joint_plan,
     offline_optimal,
+    opt_rational,
     plan_min_arrival,
+    run,
     validate_path,
 )
 from onmapf.world import build_graph
@@ -489,3 +492,24 @@ def test_makespan_objective_counts_fixed_arrivals():
         assert _plan_problems(g.adjacency, plan, tasks, 0, set(), set()) == []
         assert max(fixed_makespan, plan[1].arrival_time, plan[2].arrival_time) == makespan
         assert plan[1].arrival_time - 2 + plan[2].arrival_time == flowtime
+
+
+@pytest.mark.parametrize("objective, budget", [("flowtime", 18_159), ("makespan", 63_133)])
+def test_all_mode_pop_budget_boundary(objective, budget):
+    # The budget counts heap pops, so these boundaries pin the joint search's
+    # pop count: a faster expansion loop must not move them.
+    policy = opt_rational("all", objective)
+    run(InstanceSource(gen_line(6)), policy, SearchLimits(node_budget=budget))
+    with pytest.raises(BudgetExhausted, match=f"exceeded {budget - 1} pops"):
+        run(InstanceSource(gen_line(6)), policy, SearchLimits(node_budget=budget - 1))
+
+
+def test_all_mode_makespan_plan_on_line_m4():
+    # The committed plan pins the joint search's tie-break among optima.
+    trace = run(InstanceSource(gen_line(4)), opt_rational("all", "makespan"))
+    assert trace.plan == {
+        1: Path(0, (0, 1, 2, 3, 4)),
+        2: Path(7, (4, 3, 2, 1, 0)),
+        3: Path(2, (0, 1, 2, 3, 4)),
+        4: Path(6, (4, 3, 2, 1, 0)),
+    }
