@@ -370,10 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
     if unknown:
-        # argparse hands a verb's unknown flags back to the top-level parser;
-        # report them with the verb's own usage instead.
+        # argparse hands a verb's unknown flags back to the top-level parser.
+        # That parser takes no flag of its own, so whatever precedes the verb
+        # is left over and reported there; the rest gets the verb's usage.
+        argv = sys.argv[1:] if argv is None else argv
+        before = argv[:argv.index(args.verb)]
+        if before:
+            parser.error(f"unrecognized arguments: {' '.join(before)}")
         args.verb_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if args.verb in ("solve", "ratio"):

@@ -208,6 +208,22 @@ def test_unknown_flag_reports_the_verb_usage(capsys):
     assert err.endswith("onmapf sweep: error: unrecognized arguments: --m 8\n")
 
 
+def test_unknown_flag_before_the_verb_reports_the_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "solve", "--family", "line", "--m", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: onmapf [-h] ")
+    assert err.endswith("onmapf: error: unrecognized arguments: --bogus\n")
+    # the same flag after the verb still gets the verb's usage
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--family", "line", "--m", "2", "--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: onmapf solve ")
+    assert err.endswith("onmapf solve: error: unrecognized arguments: --bogus\n")
+
+
 def test_flags_are_never_abbreviated(capsys):
     # Without exact flags, "--m" would read as "--map" and "--fam" as "--family".
     for argv in (["validate", "--m", "2"],
