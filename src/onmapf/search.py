@@ -360,7 +360,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         f1, f2, hist, _, t, j, pos, g_flow, h_flow, make_lb, swaps = heappop(heap)
         pops += 1
         if pops > budget:
-            raise BudgetExhausted(f"joint search exceeded {limits.node_budget} pops")
+            raise BudgetExhausted(f"joint search exceeded {budget} pops")
         if pos == finished:
             return _reconstruct(hist, tasks, t0)
         # ``swaps``: the moves made earlier in this layer into vertices that
