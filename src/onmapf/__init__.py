@@ -62,7 +62,6 @@ from .online import (
     RevealSource,
     SimulationTrace,
     Snapshot,
-    check_global_bounds,
     custom_policy,
     opt_rational,
     rationalize_wrap,

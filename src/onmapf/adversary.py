@@ -99,7 +99,6 @@ class TwoByTwoAdversary(RevealSource):
         self._graph = build_grid(2, 2)
         self._stage = "reveal-first"
         self._second: Agent | None = None
-        self.revealed: list[Agent] = []
 
     def graph(self) -> Graph:
         return self._graph
@@ -107,12 +106,9 @@ class TwoByTwoAdversary(RevealSource):
     def next_event(self):
         if self._stage == "reveal-first":
             self._stage = "await-first"
-            first = Agent(1, V1, V4, 0)
-            self.revealed.append(first)
-            return 0, [first]
+            return 0, [Agent(1, V1, V4, 0)]
         if self._stage == "reveal-second":
             self._stage = "await-second"
-            self.revealed.append(self._second)
             return 1, [self._second]
         if self._stage == "done":
             return None
@@ -128,9 +124,6 @@ class TwoByTwoAdversary(RevealSource):
             self._stage = "reveal-second"
         elif self._stage == "await-second":
             self._stage = "done"
-
-    def revealed_instance(self) -> OnlineInstance:
-        return OnlineInstance(self._graph, tuple(self.revealed))
 
 
 def gen_2x2_adversary() -> TwoByTwoAdversary:

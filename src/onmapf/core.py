@@ -164,7 +164,7 @@ class Conflict:
     location: object  # vertex id, or (u, v) ordered by the lower agent's move
 
 
-def detect_conflicts(plan: Plan, inst: OnlineInstance | None = None) -> list[Conflict]:
+def detect_conflicts(plan: Plan) -> list[Conflict]:
     """All vertex and edge collisions between the given paths.
 
     A vertex conflict needs both agents to actually occupy the vertex

@@ -15,6 +15,22 @@ every event. Commitment semantics:
   off the graph (including one whose committed start lies in the future) may
   be rescheduled freely from the current time on.
 
+The two non-rerouting modes share one commit loop and differ only in where
+the candidates come from: the custom hook, one joint plan of the group
+(``new``), or per agent the sequential chain (``sequence``) or a single-agent
+plan against everything committed so far (``new-single``). The loop goes over
+the group in id order; for each agent it takes the candidate, rationalizes
+it, commits it and extends the committed makespan. Rationalization is the
+paper's one rule, to replace a violating computation by sequential routing:
+in ``new-single`` mode each candidate is capped by the chain after the
+committed makespan, and in ``new`` mode a path the reservation table does not
+admit (or a busted ceiling) makes ``run`` replace the whole group by that
+chain.
+
+A custom hook sees a :class:`CustomContext` of the event: the committed
+makespan and the ceilings among other things, all numbers ``run`` already
+holds, so building the context copies no plan.
+
 ``run`` owns one reservation table (a :class:`DynamicObstacleSet`) for the
 whole run. Each committed path is added to it once, in id order, and the
 single-agent planner, the ``new``-mode joint planner and the per-agent
@@ -53,7 +69,6 @@ from .core import (
     Plan,
     evaluate,
     partition_by_release,
-    rationality_bounds,
     sequential_chain,
 )
 from .errors import ProtocolViolation
@@ -144,9 +159,8 @@ def wasteful_policy() -> OnlinePolicy:
     unwrapped policy violates the bounds at every release time."""
 
     def hook(ctx: "CustomContext") -> Plan:
-        inst = ctx.instance
-        slack = inst.m * sum(inst.dist(i) for i in range(1, inst.m + 1)) + 1
-        after = max([ctx.time] + [p.arrival_time for p in ctx.committed.values()])
+        slack = ctx.bounds[0] + 1
+        after = max(ctx.time, ctx.makespan)
         # The chain runs slack steps late; the first agent waits them out at its start.
         paths: Plan = {}
         for agent, start, _ in sequential_chain(ctx.graph, ctx.new_agents, after + slack):
@@ -172,13 +186,15 @@ def replay_policy(plan: Plan, label: str = "replay-optimal") -> OnlinePolicy:
 
 @dataclass(frozen=True)
 class CustomContext:
-    """What a custom planning hook gets to look at."""
+    """What a custom planning hook gets to look at: the release time, the
+    new group in id order, the latest committed arrival before the event
+    (0 at the first) and the event's ``(flow_bound, make_bound)`` ceilings."""
 
     graph: Graph
     time: int
     new_agents: tuple[Agent, ...]
-    committed: Plan
-    instance: OnlineInstance
+    makespan: int
+    bounds: tuple[int, int]
 
 
 class RevealSource:
@@ -288,7 +304,7 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
         prev_flowtime, prev_makespan = flowtime, makespan
 
         clashed = _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, policy,
-                              limits, prev_makespan)
+                              limits, prev_makespan, bounds)
 
         if policy.mode == "all":
             flowtime, makespan = _costs(committed, revealed)
@@ -313,26 +329,12 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
 
     instance = OnlineInstance(graph, tuple(revealed))
     metrics = evaluate(committed, range(1, len(revealed) + 1), instance)
-    conflicts = core.detect_conflicts(committed, instance)
+    conflicts = core.detect_conflicts(committed)
     return SimulationTrace(policy, instance, trace_snapshots, dict(committed), metrics, conflicts)
-
-
-def check_global_bounds(trace: SimulationTrace, inst: OnlineInstance) -> tuple[bool, bool]:
-    """Final-solution sanity bounds implied by rationality: flowtime at most
-    m times the summed distances, makespan at most the cost of
-    ``sequential_chain`` over all agents."""
-    groups = partition_by_release(inst)
-    flow_bound, make_bound = rationality_bounds(inst, len(groups))
-    return trace.metrics.flowtime <= flow_bound, trace.metrics.makespan <= make_bound
 
 
 # ---------------------------------------------------------------------------
 # per-event planning
-
-
-def _commit(committed, obstacles, agent_id, path):
-    committed[agent_id] = path
-    obstacles.add_path(agent_id, path)
 
 
 def _costs(plan, agents, flowtime=0, makespan=0):
@@ -351,77 +353,46 @@ def _chain_path(graph, agent, start):
 
 
 def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, policy, limits,
-                prev_makespan):
-    """Commit the new group's paths; True if a rationalized ``new``-mode
-    hook produced a path the reservation table does not admit."""
+                makespan, bounds):
+    """Commit the new group's paths (see the module docstring); True if a
+    rationalized ``new``-mode group has a path the reservation table does not
+    admit. ``makespan`` is the latest committed arrival before the event."""
+    if policy.mode == "all":
+        _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits, makespan)
+        return False
+    produced = None
     if policy.planner == "custom":
-        return _plan_custom(committed, obstacles, graph, revealed, new_agents, time_k, policy,
-                            prev_makespan)
-    if policy.mode == "new-single":
-        _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, prev_makespan)
+        produced = policy.custom(CustomContext(graph, time_k, tuple(new_agents), makespan, bounds))
+        if set(produced) != {a.id for a in new_agents}:
+            raise ValueError("custom hook must return exactly the new agents' paths")
     elif policy.mode == "new":
-        sub = offline_optimal(
-            graph,
-            new_agents,
-            frozen=obstacles,
-            objective=policy.objective,
-            limits=limits,
-            start_time=time_k,
-            fixed_makespan=prev_makespan,
-        )
-        for agent_id in sorted(sub):
-            _commit(committed, obstacles, agent_id, sub[agent_id])
-    else:
-        _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits, prev_makespan)
-    return False
-
-
-def _plan_single_agents(committed, obstacles, graph, new_agents, policy, limits, makespan):
-    """Plan newly revealed agents one at a time in id order, treating every
-    already-planned agent as a dynamic obstacle. ``makespan`` is the latest
-    committed arrival."""
-    if policy.planner == "sequence":
-        for agent, start, _ in sequential_chain(graph, new_agents, makespan):
-            _commit(committed, obstacles, agent.id, _chain_path(graph, agent, start))
-        return
-    for agent in new_agents:
-        path = plan_min_arrival(graph, agent, obstacles, agent.release, limits)
-        if policy.rationalized:
-            path = _cap_single_path(path, agent, graph, makespan, obstacles)
-        _commit(committed, obstacles, agent.id, path)
-        makespan = max(makespan, path.arrival_time)
-
-
-def _cap_single_path(path, agent, graph, makespan, obstacles):
-    """Per-agent rationalization: a candidate may not arrive later than the
-    sequential chain after ``makespan`` would, and must fit the commitments in
-    ``obstacles``; otherwise that chain's path (which starts after every
-    committed arrival) replaces it."""
-    _, start, arrival = next(sequential_chain(graph, (agent,), makespan))
-    if path.arrival_time > arrival or not obstacles.admits(path):
-        return _chain_path(graph, agent, start)
-    return path
-
-
-def _plan_custom(committed, obstacles, graph, revealed, new_agents, time_k, policy, makespan):
-    ctx = CustomContext(graph, time_k, tuple(new_agents), dict(committed),
-                        OnlineInstance(graph, tuple(revealed)))
-    produced = policy.custom(ctx)
-    new_ids = {a.id for a in new_agents}
-    if set(produced) != new_ids:
-        raise ValueError("custom hook must return exactly the new agents' paths")
+        produced = offline_optimal(graph, new_agents, frozen=obstacles, objective=policy.objective,
+                                   limits=limits, start_time=time_k, fixed_makespan=makespan)
+    capped = policy.rationalized and policy.mode == "new-single"
     clashed = False
     for agent in new_agents:
-        path = produced[agent.id]
-        core.validate_path(path, agent, graph)
-        if policy.rationalized and policy.mode == "new-single":
-            path = _cap_single_path(path, agent, graph, makespan, obstacles)
+        if capped or policy.planner == "sequence":
+            # The sequential chain after every committed arrival.
+            _, start, arrival = next(sequential_chain(graph, (agent,), makespan))
+        if policy.planner == "sequence":
+            path = _chain_path(graph, agent, start)
+        elif produced is None:
+            path = plan_min_arrival(graph, agent, obstacles, agent.release, limits)
+        else:
+            path = produced[agent.id]
+            if policy.planner == "custom":
+                core.validate_path(path, agent, graph)
+        if capped:
+            # Per agent: no later than the chain, and fitting the commitments.
+            if path.arrival_time > arrival or not obstacles.admits(path):
+                path = _chain_path(graph, agent, start)
         elif policy.rationalized:
             # The committed plan before the event is conflict-free (every
             # earlier event passed this check or fell back to the chain), so
             # checking each path as it joins the table finds every conflict.
             clashed = clashed or not obstacles.admits(path)
-        _commit(committed, obstacles, agent.id, path)
+        committed[agent.id] = path
+        obstacles.add_path(agent.id, path)
         makespan = max(makespan, path.arrival_time)
     return clashed
 

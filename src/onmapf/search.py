@@ -84,9 +84,6 @@ class DynamicObstacleSet:
                 return False
         return all(self.swap_free(u, v, t) for u, v, t in path.moves())
 
-    def __len__(self):
-        return len(self.vertex_reservations) + len(self.edge_reservations)
-
 
 def build_obstacles(plan: Plan) -> DynamicObstacleSet:
     """Reservations for every planned agent, added in id order."""

@@ -103,7 +103,7 @@ def test_criterion_2_line_family_optimum():
         if evaluate(make_plan, agents, inst).makespan != expect_make:
             failures.append((m, "makespan", evaluate(make_plan, agents, inst)))
         for plan in (flow_plan, make_plan):
-            if detect_conflicts(plan, inst):
+            if detect_conflicts(plan):
                 failures.append((m, "conflicts"))
     _verdict(2, "offline optimum matches closed forms at m=2 and m=4", not failures)
 
@@ -181,7 +181,7 @@ def test_criterion_4_reduction_iff():
         expected = 3 if truth is not None else 4
         if makespan != expected:
             failures.append((name, "makespan", makespan, expected))
-        if detect_conflicts(plan, inst):
+        if detect_conflicts(plan):
             failures.append((name, "conflicts"))
         if makespan == 3:
             decoded = decode_assignment(out, plan)

@@ -185,7 +185,7 @@ def test_reduction_unsat_instance_needs_makespan_four():
     plan = offline_optimal(out.instance.graph, out.instance.agents, objective="makespan")
     metrics = evaluate(plan, range(1, out.instance.m + 1), out.instance)
     assert metrics.makespan == 4
-    assert detect_conflicts(plan, out.instance) == []
+    assert detect_conflicts(plan) == []
     with pytest.raises(NotMakespanThree):
         decode_assignment(out, plan)
 
@@ -204,7 +204,6 @@ def test_reduction_sat_instance_solves_in_three_and_decodes():
 
 def test_decode_reads_shared_routes():
     out = reduce_sat(SAT_N2)
-    inst = out.instance
     # hand-build a makespan-3 plan: X1 shared-true, X2 shared-true,
     # clause agents on routes crossing the private sides of true literals
     plan = {}
@@ -217,7 +216,7 @@ def test_decode_reads_shared_routes():
     plan[5] = Path(0, out.clause_paths[5][0])
     plan[6] = Path(0, out.clause_paths[6][1])
     plan[7] = Path(0, out.clause_paths[7][0])
-    assert detect_conflicts(plan, inst) == []
+    assert detect_conflicts(plan) == []
     decoded = decode_assignment(out, plan)
     assert decoded == {1: True, 2: True}
     assert satisfies(SAT_N2, decoded)
@@ -229,7 +228,7 @@ def test_at_most_one_shared_route_per_variable():
         1: Path(0, out.shared_paths[1]),
         2: Path(0, out.shared_paths[2]),
     }
-    conflicts = detect_conflicts(both_shared, out.instance)
+    conflicts = detect_conflicts(both_shared)
     assert any(c.kind == "vertex" for c in conflicts)  # they meet at the junction
 
 

@@ -21,6 +21,7 @@ from onmapf import (
     rationality_bounds,
     run,
     sequence_policy,
+    validate_path,
 )
 from onmapf.adversary import RandomSpec
 from onmapf.core import Conflict, dump_scenario, load_scenario, plan_to_csv
@@ -82,7 +83,9 @@ def test_sitting_on_anothers_goal_at_arrival_is_fine():
     plan = {1: Path(0, (0, 1, 2)), 2: Path(1, (2, 2, 3))}
     g = build_grid(1, 4)
     inst = OnlineInstance(g, (Agent(1, 0, 2, 0), Agent(2, 2, 3, 1)))
-    assert detect_conflicts(plan, inst) == []
+    for agent in inst.agents:
+        validate_path(plan[agent.id], agent, g)
+    assert detect_conflicts(plan) == []
 
 
 def test_vertex_conflict_detected():

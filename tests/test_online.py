@@ -9,7 +9,6 @@ from onmapf import (
     Path,
     build_grid,
     build_obstacles,
-    check_global_bounds,
     RevealSource,
     custom_policy,
     detect_conflicts,
@@ -117,6 +116,12 @@ def test_rationalized_cap_checks_replacements_not_candidates():
     trace = run(InstanceSource(inst), policy)
     assert trace.plan == {1: candidates[1], 2: replacement_2, 3: Path(2, (1, 2))}
     assert trace.conflicts == []
+    # a candidate arriving exactly with the chain is kept, wait and all
+    late = rationalize_wrap(custom_policy(
+        lambda ctx: {a.id: Path(a.release, (a.start,) + shortest_path_lex(ctx.graph, a.start, a.goal))
+                     for a in ctx.new_agents}, mode="new-single"))
+    trace = run(InstanceSource(gen_line(2)), late)
+    assert trace.plan == {1: Path(0, (0, 1, 2)), 2: Path(1, (2, 2, 1, 0))}
 
 
 def test_plan_all_beats_plan_new_on_line():
@@ -176,11 +181,12 @@ def test_opt_rational_is_rational_without_wrapper():
 
 
 def test_wrapping_sequence_changes_nothing():
-    inst = gen_line(4)
-    plain = run(InstanceSource(inst), sequence_policy())
-    wrapped = run(InstanceSource(inst), rationalize_wrap(sequence_policy()))
-    assert plain.plan == wrapped.plan
-    assert not any(s.fallback for s in wrapped.snapshots)
+    for inst in [gen_line(2), gen_line(4)] + [random_instance(seed, agents=6) for seed in range(6)]:
+        plain = run(InstanceSource(inst), sequence_policy())
+        wrapped = run(InstanceSource(inst), rationalize_wrap(sequence_policy()))
+        assert plain.plan == wrapped.plan
+        assert [s.plan for s in wrapped.snapshots] == [s.plan for s in plain.snapshots]
+        assert not any(s.fallback for s in wrapped.snapshots)
 
 
 def test_wasteful_fails_unwrapped_and_passes_wrapped():
@@ -221,11 +227,14 @@ def test_rationalized_new_hook_clash_falls_back_to_chain():
 
 
 def test_wrapping_opt_rational_never_triggers_fallback():
-    for seed in range(5):
-        inst = random_instance(seed, agents=4)
+    # Nor does it change a plan: neither the per-agent cap nor the new-mode
+    # clash check rejects an opt-rational candidate.
+    for inst in [gen_line(2), gen_line(4)] + [random_instance(seed, agents=4) for seed in range(5)]:
         for policy in ALL_OPT_RATIONAL:
+            plain = run(InstanceSource(inst), policy)
             trace = run(InstanceSource(inst), rationalize_wrap(policy))
             assert not any(s.fallback for s in trace.snapshots)
+            assert [s.plan for s in trace.snapshots] == [s.plan for s in plain.snapshots]
             assert trace.conflicts == []
 
 
@@ -243,15 +252,22 @@ def test_replay_of_optimum_is_irrational_but_better():
     assert wrapped.conflicts == []
 
 
+def within_global_bounds(trace, inst):
+    """Final-solution bounds implied by rationality: flowtime at most m times
+    the summed distances, makespan at most the sequential chain's."""
+    flow_bound, make_bound = rationality_bounds(inst, len(partition_by_release(inst)))
+    return trace.metrics.flowtime <= flow_bound, trace.metrics.makespan <= make_bound
+
+
 def test_check_global_bounds():
     inst = gen_line(4)
     trace = run(InstanceSource(inst), sequence_policy())
-    assert check_global_bounds(trace, inst) == (True, True)
+    assert within_global_bounds(trace, inst) == (True, True)
     assert trace.metrics.flowtime == 34 <= 64
     for seed in range(5):
         rnd = random_instance(seed)
         t = run(InstanceSource(rnd), rationalize_wrap(wasteful_policy()))
-        assert check_global_bounds(t, rnd) == (True, True)
+        assert within_global_bounds(t, rnd) == (True, True)
 
 
 def test_custom_hook_validation():
@@ -343,3 +359,26 @@ def test_out_of_range_reveal_raises_at_its_event_before_planning():
                 run(source, policy)
             assert source.observed == [0], policy.name
         assert hook_calls == [0] * 4  # four hook policies, none reached the bad event
+
+
+def test_hook_context_holds_committed_makespan_and_event_bounds():
+    # The context is built from run's running totals; it must equal what the
+    # snapshots report: the latest arrival committed before the event and the
+    # event's ceilings.
+    instances = [gen_line(4)] + [random_instance(seed, agents=6) for seed in range(4)]
+    for inst, mode, inner in itertools.product(
+            instances, ("new", "new-single"), (shortest_from_release, wasteful_policy().custom)):
+        seen = []
+
+        def hook(ctx):
+            seen.append((ctx.time, ctx.makespan, ctx.bounds))
+            return inner(ctx)
+
+        for policy in (custom_policy(hook, mode=mode), rationalize_wrap(custom_policy(hook, mode=mode))):
+            seen.clear()
+            trace = run(InstanceSource(inst), policy)
+            previous = [{}] + [snap.plan for snap in trace.snapshots[:-1]]
+            assert seen == [
+                (snap.time, max((p.arrival_time for p in plan.values()), default=0), snap.bounds)
+                for snap, plan in zip(trace.snapshots, previous)
+            ], (policy.name, mode)

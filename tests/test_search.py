@@ -29,7 +29,7 @@ from onmapf.world import build_graph
 
 def test_build_obstacles_empty_plan():
     obs = build_obstacles({})
-    assert len(obs) == 0 and obs.horizon == 0
+    assert obs.vertex_reservations == {} and obs.edge_reservations == {} and obs.horizon == 0
 
 
 def test_build_obstacles_counts_for_straight_path():
@@ -201,7 +201,7 @@ def test_offline_2x2_full_knowledge():
         plan = offline_optimal(g, inst.agents, objective=objective)
         metrics = evaluate(plan, [1, 2], inst)
         assert (metrics.flowtime, metrics.makespan, metrics.latency) == (3, 2, 0)
-        assert detect_conflicts(plan, inst) == []
+        assert detect_conflicts(plan) == []
 
 
 def test_offline_line_m2_closed_forms():
@@ -226,7 +226,7 @@ def test_offline_no_worse_than_sequential_routing():
         agents = [Agent(i + 1, a.start, a.goal, a.release) for i, a in enumerate(agents)]
         inst = OnlineInstance(g, tuple(agents))
         plan = offline_optimal(g, agents, objective="flowtime")
-        assert detect_conflicts(plan, inst) == []
+        assert detect_conflicts(plan) == []
         # sequential routing is one feasible plan, so it upper-bounds the optimum
         chain = 0
         seq_flow = 0
@@ -252,7 +252,7 @@ def test_offline_respects_frozen_reservations():
     plan = offline_optimal(inst.graph, [inst.agent(2)], frozen=frozen,
                            objective="flowtime", start_time=1)
     merged = {1: first, 2: plan[2]}
-    assert detect_conflicts(merged, inst) == []
+    assert detect_conflicts(merged) == []
     assert plan[2].arrival_time == 4  # forced behind the head-on agent
 
 
@@ -260,7 +260,7 @@ def _witness_metrics(inst, witness):
     """Metrics of a witness plan, after checking it is valid and conflict-free."""
     for agent in inst.agents:
         validate_path(witness[agent.id], agent, inst.graph)
-    assert detect_conflicts(witness, inst) == []
+    assert detect_conflicts(witness) == []
     return evaluate(witness, [a.id for a in inst.agents], inst)
 
 
