@@ -25,16 +25,17 @@ from .adversary import (
 from .core import (
     Agent,
     Conflict,
+    DynamicObstacleSet,
     Metrics,
     OnlineInstance,
     Path,
     Plan,
     RatioReport,
     ReleaseGroup,
+    build_obstacles,
     detect_conflicts,
     evaluate,
     is_rational_at,
-    occupancy,
     partition_by_release,
     rationality_bounds,
     sequential_chain,
@@ -69,10 +70,8 @@ from .online import (
     sequence_policy,
 )
 from .search import (
-    DynamicObstacleSet,
     JointTask,
     SearchLimits,
-    build_obstacles,
     joint_plan,
     offline_optimal,
     plan_min_arrival,

@@ -230,15 +230,14 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     if _source_kind(args) != "line":
         raise ConfigError("sweep supports --family line")
     m_list = [int(tok) for tok in args.m_list.split(",") if tok]
-    descriptors = [tok for tok in args.policies.split(",") if tok]
+    policies = [_parse_policy_descriptor(tok) for tok in args.policies.split(",") if tok]
     limits = SearchLimits(node_budget=args.node_budget)
     rows = []
     monotone_ok = True
-    for descriptor in descriptors:
+    for policy in policies:
         prev_flow_ratio = None
         prev_make_ratio = None
         for m in m_list:
-            policy = _parse_policy_descriptor(descriptor)
             trace = online.run(online.InstanceSource(adversary.gen_line(m)), policy, limits)
             if trace.conflicts:
                 raise ValidationFailure(f"conflicts on line m={m} under {policy.name}")
@@ -256,7 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         _write_files(args.out, {"sweep.csv": table})
     else:
         sys.stdout.write(table)
-    if descriptors:
+    if policies:
         print(f"monotone-ratio-check: {'ok' if monotone_ok else 'FAILED'}")
     if not monotone_ok:
         raise ValidationFailure("ratios are not strictly increasing for m >= 4")

@@ -15,7 +15,6 @@ Timing conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,17 +122,6 @@ class Path:
 Plan = dict[int, Path]
 
 
-def occupancy(path: Path, t: int):
-    """Vertex occupied at time t, or None: agents occupy only [start, arrival-1].
-
-    The agent is removed from the graph the moment it arrives, so the arrival
-    step itself does not occupy the goal vertex.
-    """
-    if path.start_time <= t <= path.arrival_time - 1:
-        return path.vertices[t - path.start_time]
-    return None
-
-
 def validate_agent(agent: Agent, graph: Graph) -> None:
     """Check that the agent's start and goal are vertices of the graph."""
     if not (0 <= agent.start < graph.vertex_count):
@@ -164,6 +152,61 @@ class Conflict:
     location: object  # vertex id, or (u, v) ordered by the lower agent's move
 
 
+class DynamicObstacleSet:
+    """Time-indexed vertex and move reservations of timed paths: the one place
+    that knows which cells and moves a path holds.
+
+    A path reserves its vertex for every step it actually occupies it, i.e.
+    [start, arrival), and the move ``(u, v, t)`` of every non-wait step,
+    including the final move into the goal, for its departure step ``t``
+    (the triples ``Path.moves`` yields). Each reservation lists its owners'
+    ids in the order they were added.
+
+    The set is a cooperative-A* reservation table: ``online.run`` owns one,
+    extends it with ``add_path`` as each path is committed, asks ``admits``
+    whether a candidate path fits, and rebuilds it only where committed paths
+    are replaced (a rationalization fallback or an ``all``-mode replan).
+    ``detect_conflicts`` reads its pairs from the table of a whole plan.
+    """
+
+    def __init__(self):
+        self.vertex_reservations: dict[tuple[int, int], list[int]] = {}
+        self.edge_reservations: dict[tuple[int, int, int], list[int]] = {}
+        self.horizon = 0
+
+    def add_path(self, agent_id: int, path: Path) -> None:
+        for offset in range(len(path.vertices) - 1):
+            cell = (path.vertices[offset], path.start_time + offset)
+            self.vertex_reservations.setdefault(cell, []).append(agent_id)
+        for move in path.moves():
+            self.edge_reservations.setdefault(move, []).append(agent_id)
+        if len(path.vertices) > 1:  # the last reserved step is arrival - 1
+            self.horizon = max(self.horizon, path.arrival_time)
+
+    def vertex_free(self, v: int, t: int) -> bool:
+        return (v, t) not in self.vertex_reservations
+
+    def swap_free(self, u: int, v: int, depart: int) -> bool:
+        """True unless some reserved move traverses v->u while we go u->v."""
+        return (v, u, depart) not in self.edge_reservations
+
+    def admits(self, path: Path) -> bool:
+        """True unless the path occupies a reserved vertex or swaps with a
+        reserved move: the one collision check the online loop makes."""
+        for offset, v in enumerate(path.vertices[:-1]):
+            if not self.vertex_free(v, path.start_time + offset):
+                return False
+        return all(self.swap_free(u, v, t) for u, v, t in path.moves())
+
+
+def build_obstacles(plan: Plan) -> DynamicObstacleSet:
+    """Reservations for every planned agent, added in id order."""
+    obstacles = DynamicObstacleSet()
+    for agent_id in sorted(plan):
+        obstacles.add_path(agent_id, plan[agent_id])
+    return obstacles
+
+
 def detect_conflicts(plan: Plan) -> list[Conflict]:
     """All vertex and edge collisions between the given paths.
 
@@ -171,23 +214,18 @@ def detect_conflicts(plan: Plan) -> list[Conflict]:
     (arrivals do not occupy). An edge conflict is two agents traversing one
     edge in opposite directions in the same step; final moves count.
 
-    One pass indexes every occupied ``(vertex, t)`` cell and every
-    ``(u, v, t)`` move with its owners in id order, so the cost is linear in
-    the total path length plus the number of conflicts.
+    The pairs are read from the plan's reservation table, built in id order:
+    every two owners of one cell, and every owner of a move with every owner
+    of its reverse. The cost is linear in the total path length plus the
+    number of conflicts.
     """
-    cells = defaultdict(list)
-    moves = defaultdict(list)
-    for i in sorted(plan):
-        path = plan[i]
-        for offset in range(len(path.vertices) - 1):
-            cells[(path.vertices[offset], path.start_time + offset)].append(i)
-        for move in path.moves():
-            moves[move].append(i)
+    table = build_obstacles(plan)
     conflicts = []
-    for (v, t), owners in cells.items():
+    for (v, t), owners in table.vertex_reservations.items():
         for a_pos, i in enumerate(owners):
             for j in owners[a_pos + 1:]:
                 conflicts.append(Conflict("vertex", (i, j), t, v))
+    moves = table.edge_reservations
     for (u, v, t), owners in moves.items():
         for j in moves.get((v, u, t), ()):
             for i in owners:

@@ -40,8 +40,10 @@ fallback and after an ``all``-mode replan. After every event it holds exactly
 the reservations of the committed plan, never those of a rejected candidate.
 
 Every collision decision inside the loop reads that table
-(:meth:`DynamicObstacleSet.admits`); ``core.detect_conflicts`` only produces
-the final report. Every one-at-a-time route (the ``sequence`` planner, the
+(:meth:`DynamicObstacleSet.admits`). The final report,
+``core.detect_conflicts``, builds its own table of the committed plan and
+reads its pairs from it, so it checks the plan without trusting the loop's
+table. Every one-at-a-time route (the ``sequence`` planner, the
 rationalization fallbacks, the ``all``-mode incumbent and the ``wasteful``
 hook) comes from ``core.sequential_chain``.
 
@@ -53,7 +55,8 @@ committed flowtime and makespan are extended by the group's paths (by the
 chain's paths after a fallback) and recomputed only after an ``all``-mode
 replan. Each agent's vertices are checked once, when it is revealed. Outside
 the planners, an event therefore costs O(size of the new group); the
-snapshot's plan copy and an ``all``-mode replan are the exceptions.
+snapshot's plan copy (``observe`` is handed the same one), a fallback and an
+``all``-mode replan are the exceptions.
 """
 
 from __future__ import annotations
@@ -63,10 +66,12 @@ from dataclasses import dataclass, field, replace
 from . import core
 from .core import (
     Agent,
+    DynamicObstacleSet,
     Metrics,
     OnlineInstance,
     Path,
     Plan,
+    build_obstacles,
     evaluate,
     partition_by_release,
     sequential_chain,
@@ -74,10 +79,8 @@ from .core import (
 from .errors import ProtocolViolation
 from .search import (
     DEFAULT_LIMITS,
-    DynamicObstacleSet,
     JointTask,
     SearchLimits,
-    build_obstacles,
     joint_plan,
     offline_optimal,
     plan_min_arrival,
@@ -202,7 +205,8 @@ class RevealSource:
 
     ``next_event`` yields ``(release_time, agents)`` or None when exhausted;
     after planning, the loop reports the committed plan via ``observe`` so
-    adaptive sources can choose future reveals.
+    adaptive sources can choose future reveals. That plan is the event's
+    ``Snapshot.plan`` itself, so ``observe`` must not modify it.
     """
 
     def graph(self) -> Graph:
@@ -300,7 +304,6 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
             dist_sum += arrival - start
             chain = arrival
         bounds = (len(revealed) * dist_sum, chain)
-        before = dict(committed) if may_fall_back else None
         prev_flowtime, prev_makespan = flowtime, makespan
 
         clashed = _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, policy,
@@ -313,9 +316,10 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
         fallback = may_fall_back and (clashed or flowtime > bounds[0] or makespan > bounds[1])
         if fallback:
             # Replace the group by the sequential chain after every committed
-            # arrival, which meets both ceilings and cannot collide.
+            # arrival, which meets both ceilings and cannot collide. The plan
+            # before the event is the previous snapshot's.
             committed.clear()
-            committed.update(before)
+            committed.update(trace_snapshots[-1].plan if trace_snapshots else {})
             for agent, start, _ in sequential_chain(graph, new_agents, max(time_k, prev_makespan)):
                 committed[agent.id] = _chain_path(graph, agent, start)
             flowtime, makespan = _costs(committed, new_agents, prev_flowtime, prev_makespan)
@@ -325,7 +329,7 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
         metrics = Metrics(flowtime, makespan, flowtime - dist_sum)
         trace_snapshots.append(Snapshot(len(trace_snapshots) + 1, time_k, dict(committed), metrics,
                                         bounds, fallback))
-        source.observe(time_k, dict(committed))
+        source.observe(time_k, trace_snapshots[-1].plan)
 
     instance = OnlineInstance(graph, tuple(revealed))
     metrics = evaluate(committed, range(1, len(revealed) + 1), instance)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .core import Agent, Path, Plan, sequential_chain
+from .core import Agent, DynamicObstacleSet, Path, Plan, sequential_chain
+from .core import build_obstacles  # noqa: F401 - benchmark/tracer.py patches it here
 from .errors import BudgetExhausted
 from .world import Graph
 
@@ -40,57 +41,6 @@ class SearchLimits:
 
 
 DEFAULT_LIMITS = SearchLimits()
-
-
-class DynamicObstacleSet:
-    """Time-indexed vertex and edge reservations derived from committed paths.
-
-    A path reserves its vertex for every step it actually occupies it, i.e.
-    [start, arrival), and reserves the edge of every move, including the final
-    move into the goal, for the step it departs on.
-
-    The set is a cooperative-A* reservation table: ``online.run`` owns one,
-    extends it with ``add_path`` as each path is committed, asks ``admits``
-    whether a candidate path fits, and rebuilds it only where committed paths
-    are replaced (a rationalization fallback or an ``all``-mode replan).
-    """
-
-    def __init__(self):
-        self.vertex_reservations: dict[tuple[int, int], int] = {}
-        self.edge_reservations: dict[tuple[tuple[int, int], int], int] = {}
-        self.horizon = 0
-
-    def add_path(self, agent_id: int, path: Path) -> None:
-        for offset in range(len(path.vertices) - 1):
-            t = path.start_time + offset
-            self.vertex_reservations[(path.vertices[offset], t)] = agent_id
-            self.horizon = max(self.horizon, t + 1)
-        for u, v, t in path.moves():
-            self.edge_reservations[((u, v), t)] = agent_id
-            self.horizon = max(self.horizon, t + 1)
-
-    def vertex_free(self, v: int, t: int) -> bool:
-        return (v, t) not in self.vertex_reservations
-
-    def swap_free(self, u: int, v: int, depart: int) -> bool:
-        """True unless some reserved move traverses v->u while we go u->v."""
-        return ((v, u), depart) not in self.edge_reservations
-
-    def admits(self, path: Path) -> bool:
-        """True unless the path occupies a reserved vertex or swaps with a
-        reserved move: the one collision check the online loop makes."""
-        for offset, v in enumerate(path.vertices[:-1]):
-            if not self.vertex_free(v, path.start_time + offset):
-                return False
-        return all(self.swap_free(u, v, t) for u, v, t in path.moves())
-
-
-def build_obstacles(plan: Plan) -> DynamicObstacleSet:
-    """Reservations for every planned agent, added in id order."""
-    obstacles = DynamicObstacleSet()
-    for agent_id in sorted(plan):
-        obstacles.add_path(agent_id, plan[agent_id])
-    return obstacles
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +351,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
                 options.append((v, None, dist[v], nt + dist[v]))
             goal = tasks[j].goal
             for u in adjacency[v]:
-                if ((u, v), t) in edge_res or (u, v) in swaps:
+                if (u, v, t) in edge_res or (u, v) in swaps:
                     continue
                 if u == goal:
                     options.append((DONE, (v, u), 0, nt))

@@ -143,6 +143,15 @@ def test_sweep_empty_policy_list(capsys):
     assert len([line for line in out.splitlines() if line and "," in line]) == 1
 
 
+def test_sweep_rejects_bad_policy_with_empty_m_list(capsys):
+    # every descriptor is parsed before any run, so no m is needed to reject one
+    for m_list in ("", "2"):
+        assert main(["sweep", "--m-list", m_list, "--policies", "sequence,bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad policy descriptor 'bogus'\n"
+
+
 def test_reduce_sat_roundtrip(tmp_path, capsys):
     cnf = write(tmp_path, "sat2.cnf", CNF_SAT2)
     out_dir = tmp_path / "red"

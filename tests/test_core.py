@@ -16,7 +16,6 @@ from onmapf import (
     gen_line,
     gen_random,
     is_rational_at,
-    occupancy,
     partition_by_release,
     rationality_bounds,
     run,
@@ -46,15 +45,6 @@ def test_partition_single_group_and_mixed():
     inst = OnlineInstance(g, (Agent(1, 0, 2, 0), Agent(2, 2, 0, 0), Agent(3, 0, 1, 2)))
     groups = partition_by_release(inst)
     assert [(grp.time, len(grp.agent_ids)) for grp in groups] == [(0, 2), (2, 1)]
-
-
-def test_occupancy_excludes_arrival_and_outside():
-    path = Path(0, (0, 1, 2))  # arrives at time 2
-    assert occupancy(path, 0) == 0
-    assert occupancy(path, 1) == 1
-    assert occupancy(path, 2) is None  # removed upon arrival
-    assert occupancy(path, -1) is None
-    assert occupancy(path, 5) is None
 
 
 def test_swap_is_an_edge_conflict():
@@ -136,22 +126,24 @@ def test_detect_conflicts_symmetric_under_relabeling():
 
 
 def _pairwise_conflicts(plan):
-    """Reference detector: compare every pair of paths step by step."""
+    """Reference detector: compare every pair of paths step by step, reading
+    their vertex tuples directly."""
     ids = sorted(plan)
     conflicts = []
     for a_pos, i in enumerate(ids):
         pi = plan[i]
         for j in ids[a_pos + 1:]:
             pj = plan[j]
+            # Both agents occupy a vertex at t and are at their next one at
+            # t + 1; an arrival vertex is never occupied.
             for t in range(max(pi.start_time, pj.start_time),
                            min(pi.arrival_time, pj.arrival_time)):
-                vi = occupancy(pi, t)
-                if vi is not None and vi == occupancy(pj, t):
-                    conflicts.append(Conflict("vertex", (i, j), t, vi))
-            moves_j = set(pj.moves())
-            for u, v, t in pi.moves():
-                if (v, u, t) in moves_j:
-                    conflicts.append(Conflict("edge", (i, j), t, (u, v)))
+                ui, vi = pi.vertices[t - pi.start_time:t - pi.start_time + 2]
+                uj, vj = pj.vertices[t - pj.start_time:t - pj.start_time + 2]
+                if ui == uj:
+                    conflicts.append(Conflict("vertex", (i, j), t, ui))
+                if ui != vi and (ui, vi) == (vj, uj):
+                    conflicts.append(Conflict("edge", (i, j), t, (ui, vi)))
     conflicts.sort(key=lambda c: (c.time, c.agents, c.kind, str(c.location)))
     return conflicts
 

@@ -341,6 +341,30 @@ class ScriptedSource(RevealSource):
         self.observed.append(time)
 
 
+class RecordingSource(InstanceSource):
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.observed = []
+
+    def observe(self, time, plan):
+        self.observed.append((plan, dict(plan)))
+
+
+def test_observe_is_handed_each_snapshot_plan():
+    # One plan copy per event: observe gets the snapshot's own plan, holding
+    # what the snapshot holds, after a rationalization fallback too.
+    fallbacks = 0
+    for inst in [gen_line(4)] + [random_instance(seed) for seed in (0, 3, 11)]:
+        for policy in (sequence_policy(), opt_rational("new", "flowtime"), wasteful_policy(),
+                       rationalize_wrap(wasteful_policy())):
+            source = RecordingSource(inst)
+            trace = run(source, policy)
+            assert [copy for _, copy in source.observed] == [s.plan for s in trace.snapshots]
+            assert all(seen is s.plan for (seen, _), s in zip(source.observed, trace.snapshots))
+            fallbacks += sum(s.fallback for s in trace.snapshots)
+    assert fallbacks > 0
+
+
 def test_out_of_range_reveal_raises_at_its_event_before_planning():
     g = build_grid(1, 3)
     for bad, message in ((Agent(2, 3, 0, 1), "agent 2: start vertex out of range"),
