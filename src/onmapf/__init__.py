@@ -1,10 +1,10 @@
 """Online multi-agent path finding at desk scale.
 
 Agents appear over time at start vertices, must reach goals collision-free,
-and disappear on arrival. The package provides the instance model, exact
-single-agent and joint planners, the online execution loop with its
-controllability modes and rationalization, adversarial instance generators,
-and a benchmark CLI (``onmapf``).
+and disappear on arrival. The package provides the instance model, one
+exact A* planner for joint plans and single agents alike, the online
+execution loop with its controllability modes and rationalization,
+adversarial instance generators, and a benchmark CLI (``onmapf``).
 """
 
 from .adversary import (

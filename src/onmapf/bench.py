@@ -229,7 +229,15 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         args.family = "line"
     if _source_kind(args) != "line":
         raise ConfigError("sweep supports --family line")
-    m_list = [int(tok) for tok in args.m_list.split(",") if tok]
+    m_list = []
+    forms = {}  # computing each m's closed forms checks it before anything runs
+    for tok in filter(None, args.m_list.split(",")):
+        try:
+            m = int(tok)
+        except ValueError:
+            raise ConfigError(f"bad --m-list entry {tok!r}") from None
+        m_list.append(m)
+        forms[m] = adversary.line_closed_forms(m)
     policies = [_parse_policy_descriptor(tok) for tok in args.policies.split(",") if tok]
     limits = SearchLimits(node_budget=args.node_budget)
     rows = []
@@ -241,9 +249,8 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             trace = online.run(online.InstanceSource(adversary.gen_line(m)), policy, limits)
             if trace.conflicts:
                 raise ValidationFailure(f"conflicts on line m={m} under {policy.name}")
-            forms = adversary.line_closed_forms(m)
-            flow_ratio = RatioReport.of(trace.metrics.flowtime, forms.opt_flow).ratio
-            make_ratio = RatioReport.of(trace.metrics.makespan, forms.opt_make).ratio
+            flow_ratio = RatioReport.of(trace.metrics.flowtime, forms[m].opt_flow).ratio
+            make_ratio = RatioReport.of(trace.metrics.makespan, forms[m].opt_make).ratio
             rows.append((m, policy.name, trace.metrics.flowtime, trace.metrics.makespan,
                          _ratio_str(flow_ratio), _ratio_str(make_ratio)))
             if policy.mode in ("new-single", "new") and m >= 4:

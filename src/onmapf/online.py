@@ -381,7 +381,7 @@ def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, polic
         if policy.planner == "sequence":
             path = _chain_path(graph, agent, start)
         elif produced is None:
-            path = plan_min_arrival(graph, agent, obstacles, agent.release, limits)
+            path = plan_min_arrival(graph, agent, obstacles, limits)
         else:
             path = produced[agent.id]
             if policy.planner == "custom":

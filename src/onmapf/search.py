@@ -1,24 +1,25 @@
-"""Single-agent space-time search and an exact joint planner.
+"""One exact A* for every plan: the joint planner, and one agent as a special case.
 
-``plan_min_arrival`` is a space-time A* against a reservation table: states are
-(vertex, time) plus an off-graph chain that lets an agent delay its entry
-arbitrarily long. ``joint_plan`` (and ``offline_optimal`` on top of it) runs
-one A* pass with operator decomposition over joint configurations for either
-objective: within one time step the agents are advanced one at a time, which
-keeps the branching factor per node at the single-agent level.
+``joint_plan`` (and ``offline_optimal`` on top of it) runs one A* pass with
+operator decomposition over joint configurations for either objective: within
+one time step the agents are advanced one at a time, which keeps the branching
+factor per node at the single-agent level. Agents not yet in the graph wait
+off it and may delay their entry arbitrarily long. ``plan_min_arrival`` is
+that search over a single agent against a reservation table, the space-time
+A* of cooperative pathfinding.
 
-Both searches are exact and fully deterministic. The single-agent search
-breaks ties by fewest waits, then by the lexicographically smallest vertex
-sequence; the joint search breaks ties by the secondary objective (makespan
-under flowtime and vice versa), then by the lexicographically smallest
-configuration history. Heuristics are exact graph distances, and the joint
-search closes a state only on a key that fixes the cost of every completion
-(see ``joint_plan``), so reported optima are exact, not approximate.
+The search is exact and fully deterministic. It breaks ties by the secondary
+objective (makespan under flowtime and vice versa), then by the
+lexicographically smallest configuration history. Heuristics are exact graph
+distances, and a state is closed only on a key that fixes the cost of every
+completion (see ``joint_plan``), so reported optima are exact, not
+approximate.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 from .core import Agent, DynamicObstacleSet, Path, Plan, sequential_chain
@@ -43,87 +44,20 @@ class SearchLimits:
 DEFAULT_LIMITS = SearchLimits()
 
 
-# ---------------------------------------------------------------------------
-# single-agent space-time A*
-
-
 def plan_min_arrival(
     graph: Graph,
     agent: Agent,
     obstacles: DynamicObstacleSet | None = None,
-    earliest_start: int | None = None,
     limits: SearchLimits | None = None,
 ) -> Path:
     """Earliest-arrival path for one agent against a set of moving obstacles.
 
-    The agent may stay off the graph as long as it likes before entering at
-    its start vertex, so a plan always exists: worst case it enters after all
-    reservations have expired and walks a shortest path.
+    The joint search over this one agent: it may stay off the graph as long
+    as it likes before entering at its start vertex, so a plan always exists
+    (worst case it enters after all reservations have expired and walks a
+    shortest path, which is the search's upper bound).
     """
-    if obstacles is None:
-        obstacles = DynamicObstacleSet()
-    if earliest_start is None:
-        earliest_start = agent.release
-    if earliest_start < agent.release:
-        raise ValueError("earliest_start must not precede the agent's release")
-    if limits is None:
-        limits = DEFAULT_LIMITS
-    start, goal = agent.start, agent.goal
-    dist_to_goal = graph.dist_from(goal)
-    # Completeness bound: every obstacle has expired by obstacles.horizon, and
-    # from then on a shortest path takes fewer than vertex_count steps.
-    horizon = obstacles.horizon + graph.vertex_count + earliest_start + 1
-
-    # Heap keys are (arrival lower bound, waits so far, vertex sequence so
-    # far); payload marks off-graph / in-graph / finished nodes. The first
-    # finished node popped is the optimum under exactly that ordering.
-    OFF, NODE, GOAL = 0, 1, 2
-    heap = []
-    heapq.heappush(heap, (earliest_start + 1 + dist_to_goal[start], 0, (), OFF, earliest_start, -1))
-    if obstacles.vertex_free(start, earliest_start):
-        heapq.heappush(
-            heap,
-            (earliest_start + dist_to_goal[start], 0, (start,), NODE, earliest_start, earliest_start),
-        )
-    closed = set()
-    pops = 0
-
-    while heap:
-        f, waits, vseq, kind, t, started = heapq.heappop(heap)
-        pops += 1
-        if pops > limits.node_budget:
-            raise BudgetExhausted(f"single-agent search exceeded {limits.node_budget} pops")
-        if kind == GOAL:
-            return Path(started, vseq)
-        key = (-1, t, -1) if kind == OFF else (vseq[-1], t, started)
-        if key in closed:
-            continue
-        closed.add(key)
-        nt = t + 1
-        if kind == OFF:
-            if nt + dist_to_goal[start] <= horizon:
-                heapq.heappush(heap, (nt + 1 + dist_to_goal[start], 0, (), OFF, nt, -1))
-                if obstacles.vertex_free(start, nt):
-                    heapq.heappush(heap, (nt + dist_to_goal[start], 0, (start,), NODE, nt, nt))
-            continue
-        if nt > horizon:
-            continue
-        v = vseq[-1]
-        if obstacles.vertex_free(v, nt):
-            heapq.heappush(heap, (nt + dist_to_goal[v], waits + 1, vseq + (v,), NODE, nt, started))
-        for u in graph.adjacency[v]:
-            if not obstacles.swap_free(v, u, t):
-                continue
-            if u == goal:
-                heapq.heappush(heap, (nt, waits, vseq + (u,), GOAL, nt, started))
-            elif obstacles.vertex_free(u, nt):
-                heapq.heappush(heap, (nt + dist_to_goal[u], waits, vseq + (u,), NODE, nt, started))
-
-    raise BudgetExhausted(f"no plan within horizon {horizon}; bound too tight")
-
-
-# ---------------------------------------------------------------------------
-# exact joint planning
+    return offline_optimal(graph, [agent], frozen=obstacles, limits=limits)[agent.id]
 
 
 @dataclass(frozen=True)
@@ -240,60 +174,38 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
     else:
         horizon = upper_bound + 1
 
-    def rho(token, tau, idx):
-        # Remaining-service lower bound of one agent, counted from time tau.
-        if token == DONE:
-            return 0
-        if token == PENDING:
-            d = entry_dist[idx]
-            return 1 + d if releases[idx] <= tau else d
-        return dist_maps[idx][token]
-
-    def arrival_floor(token, tau, idx):
-        # Earliest possible arrival time of one agent, given its position.
-        if token == PENDING:
-            d = entry_dist[idx]
-            return tau + 1 + d if releases[idx] <= tau else releases[idx] + d
-        return tau + dist_maps[idx][token]
-
     # Root configurations: agents already in the graph sit at their frozen
     # positions; every pending agent released by t0 may either enter now or
-    # keep waiting off the graph.
-    entry_choices = []
-    base = []
+    # keep waiting off the graph. Each choice is (token, remaining-service
+    # lower bound, earliest possible arrival), counted from t0.
+    choices = []
     for idx, task in enumerate(tasks):
         if task.current is not None:
-            base.append(task.current)
-        else:
-            base.append(PENDING)
-            if task.release <= t0:
-                entry_choices.append(idx)
+            d = dist_maps[idx][task.current]
+            choices.append([(task.current, d, t0 + d)])
+            continue
+        d = entry_dist[idx]
+        if task.release > t0:
+            choices.append([(PENDING, d, task.release + d)])
+            continue
+        wait_or_enter = [(PENDING, 1 + d, t0 + 1 + d)]
+        if frozen.vertex_free(task.entry, t0):
+            wait_or_enter.append((task.entry, d, t0 + d))
+        choices.append(wait_or_enter)
     heap = []
-    push_id = 0
-    for mask in range(1 << len(entry_choices)):
-        pos = list(base)
-        ok = True
-        used = {p for p in pos if p >= 0}
-        for bit, idx in enumerate(entry_choices):
-            if mask >> bit & 1:
-                s = tasks[idx].entry
-                if s in used or not frozen.vertex_free(s, t0):
-                    ok = False
-                    break
-                used.add(s)
-                pos[idx] = s
-        if not ok:
+    for combo in itertools.product(*choices):
+        pos = tuple(token for token, _, _ in combo)
+        placed = [token for token in pos if token >= 0]
+        if len(set(placed)) < len(placed):  # two agents on one vertex
             continue
-        pos = tuple(pos)
-        h_flow = sum(rho(pos[i], t0, i) for i in range(n))
-        make_lb = fixed_makespan
-        for i in range(n):
-            make_lb = max(make_lb, arrival_floor(pos[i], t0, i))
+        h_flow = sum(rho for _, rho, _ in combo)
+        make_lb = max(fixed_makespan, max(floor for _, _, floor in combo))
         f1, f2 = (h_flow, make_lb) if flow_primary else (make_lb, h_flow)
-        if f1 > upper_bound:
-            continue
-        heapq.heappush(heap, (f1, f2, pos, push_id, t0, 0, pos, 0, h_flow, make_lb, ()))
-        push_id += 1
+        if f1 <= upper_bound:
+            heap.append((f1, f2, pos, t0, 0, pos, 0, h_flow, make_lb, ()))
+    # Entries lead with (f1, f2, history). No two entries share a history,
+    # so that prefix orders them totally and fixes the pop order.
+    heapq.heapify(heap)
 
     vertex_res = frozen.vertex_reservations
     edge_res = frozen.edge_reservations
@@ -304,7 +216,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
     closed = set()
     pops = 0
     while heap:
-        f1, f2, hist, _, t, j, pos, g_flow, h_flow, make_lb, swaps = heappop(heap)
+        f1, f2, hist, t, j, pos, g_flow, h_flow, make_lb, swaps = heappop(heap)
         pops += 1
         if pops > budget:
             raise BudgetExhausted(f"joint search exceeded {budget} pops")
@@ -351,7 +263,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
                 options.append((v, None, dist[v], nt + dist[v]))
             goal = tasks[j].goal
             for u in adjacency[v]:
-                if (u, v, t) in edge_res or (u, v) in swaps:
+                if (u, v, t) in edge_res or swaps and (u, v) in swaps:
                     continue
                 if u == goal:
                     options.append((DONE, (v, u), 0, nt))
@@ -368,12 +280,11 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
                 continue
             new_pos = before + (new_token,) + after
             if last:
-                entry = (nf1, nf2, hist + (new_token,), push_id, nt, 0, new_pos, g2, h2, m2, ())
+                entry = (nf1, nf2, hist + (new_token,), nt, 0, new_pos, g2, h2, m2, ())
             else:
                 moves = kept + (edge,) if edge and edge[1] in after else kept
-                entry = (nf1, nf2, hist + (new_token,), push_id, t, j + 1, new_pos, g2, h2, m2, moves)
+                entry = (nf1, nf2, hist + (new_token,), t, j + 1, new_pos, g2, h2, m2, moves)
             heappush(heap, entry)
-            push_id += 1
 
     raise BudgetExhausted(f"joint search found no plan within horizon {horizon}")
 
@@ -387,9 +298,8 @@ def _reconstruct(hist, tasks, t0) -> Plan:
     n = len(tasks)
     plan: Plan = {}
     for idx, task in enumerate(tasks):
-        column = [hist[q] for q in range(idx, len(hist), n)]
-        entry_at = next(i for i, tok in enumerate(column) if tok >= 0)
-        done_at = next(i for i, tok in enumerate(column) if tok == DONE)
-        vertices = tuple(column[entry_at:done_at]) + (task.goal,)
+        column = hist[idx::n]
+        entry_at = column.count(PENDING)  # off-graph tokens all precede the entry
+        vertices = column[entry_at:column.index(DONE)] + (task.goal,)
         plan[task.agent_id] = Path(t0 + entry_at, vertices)
     return plan

@@ -152,6 +152,19 @@ def test_sweep_rejects_bad_policy_with_empty_m_list(capsys):
         assert captured.err == "error: bad policy descriptor 'bogus'\n"
 
 
+def test_sweep_checks_every_m_before_running(capsys):
+    # every --m-list entry is checked before any run, even with no policy
+    cases = (("3", "line family needs an even m >= 2, got 3"),
+             ("2,0", "line family needs an even m >= 2, got 0"),
+             ("2,x", "bad --m-list entry 'x'"))
+    for m_list, message in cases:
+        for policies in ("", "sequence"):
+            assert main(["sweep", "--m-list", m_list, "--policies", policies]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+
 def test_reduce_sat_roundtrip(tmp_path, capsys):
     cnf = write(tmp_path, "sat2.cnf", CNF_SAT2)
     out_dir = tmp_path / "red"

@@ -93,7 +93,7 @@ def test_new_single_plans_against_all_lower_id_paths():
         trace = run(InstanceSource(inst), opt_rational("new-single", "flowtime"))
         for agent in inst.agents:
             lower = {aid: trace.plan[aid] for aid in range(1, agent.id)}
-            expected = plan_min_arrival(inst.graph, agent, build_obstacles(lower), agent.release)
+            expected = plan_min_arrival(inst.graph, agent, build_obstacles(lower))
             assert trace.plan[agent.id] == expected
 
 

@@ -53,7 +53,8 @@ def test_build_obstacles_line_after_first_agent():
 
 def test_min_arrival_without_obstacles():
     inst = gen_line(4)
-    path = plan_min_arrival(inst.graph, inst.agent(1), earliest_start=3)
+    first = inst.agent(1)
+    path = plan_min_arrival(inst.graph, Agent(first.id, first.start, first.goal, 3))
     assert path.start_time == 3
     assert path.arrival_time == 3 + 4
     assert path.wait_count() == 0
@@ -67,6 +68,17 @@ def test_min_arrival_2x2_second_agent_starts_at_two():
     path = plan_min_arrival(g, second, obs)
     assert path.start_time == 2
     assert path.arrival_time == 3
+
+
+def test_min_arrival_prefers_waiting_off_graph_to_an_equal_arrival_detour():
+    # The walker holds vertex 2 at t=1 and then moves to 1, so the agent
+    # cannot pass before t=2. A detour via 0 from t=0 and waiting off the
+    # graph until t=2 both arrive at 4; the joint order (the smaller history,
+    # with off-graph tokens first) picks the wait.
+    g = build_grid(1, 4)
+    obs = build_obstacles({2: Path(1, (2, 1))})
+    path = plan_min_arrival(g, Agent(1, 1, 3, 0), obs)
+    assert path == Path(2, (1, 2, 3))
 
 
 def test_min_arrival_line_second_agent_starts_at_m():
