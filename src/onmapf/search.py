@@ -9,11 +9,12 @@ that search over a single agent against a reservation table, the space-time
 A* of cooperative pathfinding.
 
 The search is exact and fully deterministic. It breaks ties by the secondary
-objective (makespan under flowtime and vice versa), then by the
-lexicographically smallest configuration history. Heuristics are exact graph
-distances, and a state is closed only on a key that fixes the cost of every
-completion (see ``joint_plan``), so reported optima are exact, not
-approximate.
+objective (makespan under flowtime and vice versa), then toward the deeper
+state (more tokens in its history, so across a plateau of equal cost it runs
+depth-first to a goal), then by the lexicographically smallest configuration
+history. Heuristics are exact graph distances, and a state is closed only on
+a key that fixes the cost of every completion (see ``joint_plan``), so
+reported optima are exact, not approximate.
 """
 
 from __future__ import annotations
@@ -133,11 +134,13 @@ def joint_plan(
     cost, the ``all``-mode replan its incumbent); it prunes and sets the time
     horizon but never changes the optimum.
 
-    One A* pass per objective, ordered (flowtime, makespan, history) or
-    (makespan, flowtime, history). A state is closed on a key that fixes the
-    cost of every completion, so the first path to reach it dominates later
-    ones and the first plan popped is the minimum of that order. The key is
-    the time, the next agent to move and the configuration, plus:
+    One A* pass per objective, ordered (flowtime, makespan, -depth, history)
+    or (makespan, flowtime, -depth, history), where depth is the number of
+    tokens in the history: on a plateau of equal cost the deeper state pops
+    first. A state is closed on a key that fixes the cost of every
+    completion, so the first path to reach it dominates later ones and the
+    first plan popped is the minimum of that order. The key is the time, the
+    next agent to move and the configuration, plus:
 
     * the moves already made in this layer into vertices that agents still to
       move hold, since a move u->v forbids v->u to the agent at v (each state
@@ -146,6 +149,11 @@ def joint_plan(
     * under makespan, the state's makespan lower bound (realized arrivals and
       arrival floors): paths that agree on it get the same makespan in every
       completion, so less flowtime, then the smaller history, wins.
+
+    The time and the next agent fix the depth, (t - t0) * n + j tokens past the
+    root, so paths that share a key share their depth too. Among them the
+    order is still (cost, history), and the depth term changes only which of
+    the equal-cost plans is popped first, never its cost.
     """
     if objective not in ("flowtime", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -202,9 +210,10 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         make_lb = max(fixed_makespan, max(floor for _, _, floor in combo))
         f1, f2 = (h_flow, make_lb) if flow_primary else (make_lb, h_flow)
         if f1 <= upper_bound:
-            heap.append((f1, f2, pos, t0, 0, pos, 0, h_flow, make_lb, ()))
-    # Entries lead with (f1, f2, history). No two entries share a history,
-    # so that prefix orders them totally and fixes the pop order.
+            heap.append((f1, f2, -n, pos, t0, 0, pos, 0, h_flow, make_lb, ()))
+    # Entries lead with (f1, f2, -depth, history): on a cost plateau the
+    # deeper state pops first. No two entries share a history, so that prefix
+    # orders them totally and fixes the pop order.
     heapq.heapify(heap)
 
     vertex_res = frozen.vertex_reservations
@@ -216,7 +225,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
     closed = set()
     pops = 0
     while heap:
-        f1, f2, hist, t, j, pos, g_flow, h_flow, make_lb, swaps = heappop(heap)
+        f1, f2, neg_depth, hist, t, j, pos, g_flow, h_flow, make_lb, swaps = heappop(heap)
         pops += 1
         if pops > budget:
             raise BudgetExhausted(f"joint search exceeded {budget} pops")
@@ -271,6 +280,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
                     options.append((u, (v, u), dist[u], nt + dist[u]))
 
         last = j + 1 == n
+        deeper = neg_depth - 1
         kept = tuple(mv for mv in swaps if mv[1] in after) if swaps and not last else ()
         for new_token, edge, rho_new, floor in options:
             h2 = h_rest + rho_new
@@ -280,10 +290,11 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
                 continue
             new_pos = before + (new_token,) + after
             if last:
-                entry = (nf1, nf2, hist + (new_token,), nt, 0, new_pos, g2, h2, m2, ())
+                entry = (nf1, nf2, deeper, hist + (new_token,), nt, 0, new_pos, g2, h2, m2, ())
             else:
                 moves = kept + (edge,) if edge and edge[1] in after else kept
-                entry = (nf1, nf2, hist + (new_token,), t, j + 1, new_pos, g2, h2, m2, moves)
+                entry = (nf1, nf2, deeper, hist + (new_token,), t, j + 1, new_pos, g2, h2, m2,
+                         moves)
             heappush(heap, entry)
 
     raise BudgetExhausted(f"joint search found no plan within horizon {horizon}")

@@ -87,6 +87,18 @@ def test_opt_rational_line_exact_for_non_rerouting_modes():
                 assert trace.conflicts == []
 
 
+def test_opt_rational_all_mode_line_reaches_the_offline_optimum():
+    # Rerouting ends at the closed-form optimum under either objective; the
+    # choice among equal-cost plans at each release must never move a cost.
+    for m in (2, 4, 6):
+        forms = line_closed_forms(m)
+        inst = gen_line(m)
+        for objective in ("flowtime", "makespan"):
+            trace = run(InstanceSource(inst), opt_rational("all", objective))
+            assert (trace.metrics.flowtime, trace.metrics.makespan) == (forms.opt_flow, forms.opt_make)
+            assert trace.conflicts == []
+
+
 def test_new_single_plans_against_all_lower_id_paths():
     for seed in (2, 5):
         inst = random_instance(seed, agents=8, size=6)
