@@ -407,8 +407,11 @@ def _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits, 
     prefixes = {}
     fixed_makespan = 0
     incumbent_arrivals = {}
-    for aid, path in committed.items():
-        agent = revealed[aid - 1]
+    # The new group holds the highest ids, so the tasks are in id order, the
+    # order joint_plan takes them in.
+    for agent in revealed[:len(revealed) - len(new_agents)]:
+        aid = agent.id
+        path = committed[aid]
         if path.arrival_time <= time_k:
             fixed_makespan = max(fixed_makespan, path.arrival_time)
         elif path.start_time <= time_k:

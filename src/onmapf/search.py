@@ -8,6 +8,14 @@ off it and may delay their entry arbitrarily long. ``plan_min_arrival`` is
 that search over a single agent against a reservation table, the space-time
 A* of cooperative pathfinding.
 
+The search starts from one root, the configuration at the start time t0:
+agents already in the graph at their current vertex, every other agent off
+it. An agent released by t0 whose entry vertex is free at t0 chooses in an
+entry layer before the first time step: in id order, each such agent takes
+one operator-decomposition step, entering at t0 or keeping waiting. So k such
+agents cost states reached in cost order, not 2^k roots built before the
+first pop.
+
 The search is exact and fully deterministic. It breaks ties by the secondary
 objective (makespan under flowtime and vice versa), then toward the deeper
 state (more tokens in its history, so across a plateau of equal cost it runs
@@ -20,8 +28,8 @@ reported optima are exact, not approximate.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Agent, DynamicObstacleSet, Path, Plan, sequential_chain
 from .core import build_obstacles  # noqa: F401 - benchmark/tracer.py patches it here
@@ -61,8 +69,7 @@ def plan_min_arrival(
     return offline_optimal(graph, [agent], frozen=obstacles, limits=limits)[agent.id]
 
 
-@dataclass(frozen=True)
-class JointTask:
+class JointTask(NamedTuple):
     """One agent's view inside a joint search.
 
     Either ``entry`` is set (the agent still has to appear at that vertex, no
@@ -127,7 +134,9 @@ def joint_plan(
 ) -> Plan:
     """Exact joint plan over explicit tasks; see ``offline_optimal``.
 
-    Returns one path per task; paths of tasks given by ``current`` start at
+    ``tasks`` come in agent-id order, the order in which each layer moves the
+    agents (``offline_optimal`` sorts its agents once). Returns one path per
+    task; paths of tasks given by ``current`` start at
     ``start_time`` at that vertex (callers splice their executed prefixes back
     on). ``upper_bound`` is the cost of a known feasible plan in the same
     units as the objective (``offline_optimal`` passes the sequential chain's
@@ -150,10 +159,17 @@ def joint_plan(
       arrival floors): paths that agree on it get the same makespan in every
       completion, so less flowtime, then the smaller history, wins.
 
-    The time and the next agent fix the depth, (t - t0) * n + j tokens past the
-    root, so paths that share a key share their depth too. Among them the
-    order is still (cost, history), and the depth term changes only which of
-    the equal-cost plans is popped first, never its cost.
+    The layers run from t0 - 1 on. The entry layer at t0 - 1 moves only the
+    agents that may still enter at t0: each keeps waiting or enters at t0 if
+    no agent holds its entry vertex, and no cost accrues in it. Until an agent
+    has chosen, its bounds are those of entering, the cheaper choice, so f
+    stays admissible. The entry layer leaves the n tokens of the
+    configuration at t0 at the head of every history, as a root would.
+
+    The time and the next agent fix the depth, (t - (t0 - 1)) * n + j tokens
+    of history, so paths that share a key share their depth too. Among them
+    the order is still (cost, history), and the depth term changes only which
+    of the equal-cost plans is popped first, never its cost.
     """
     if objective not in ("flowtime", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -163,8 +179,6 @@ def joint_plan(
         frozen = DynamicObstacleSet()
     if limits is None:
         limits = DEFAULT_LIMITS
-    tasks = sorted(tasks, key=lambda task: task.agent_id)
-
     return _od_search(graph, tasks, objective, frozen, start_time, limits, upper_bound,
                       fixed_makespan)
 
@@ -172,51 +186,65 @@ def joint_plan(
 def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_makespan):
     """One operator-decomposition A* pass; returns the optimal plan."""
     n = len(tasks)
-    dist_maps = [graph.dist_from(task.goal) for task in tasks]
-    releases = [task.release for task in tasks]
-    entry_dist = [None if task.entry is None else dist_maps[idx][task.entry]
-                  for idx, task in enumerate(tasks)]
     flow_primary = primary == "flowtime"
+    vertex_res = frozen.vertex_reservations
+    # The one root is the configuration at t0: agents already in the graph
+    # sit at their current vertex, every other agent is PENDING. Each agent
+    # adds its remaining-service lower bound to h and its earliest possible
+    # arrival to the makespan bound. A pending agent released by t0 whose
+    # entry no frozen walk and no current agent holds at t0 still chooses, in
+    # the entry layer, to enter at t0 or to keep waiting; until then it counts
+    # as entering, the cheaper choice. Every other agent has one choice.
+    currents = {task.current for task in tasks}
+    dist_maps, releases, entries, entry_dist = [], [], [], []
+    root = []
+    choosers = []  # agents that choose in the entry layer, in id order
+    h_flow, make_lb = 0, fixed_makespan
+    for idx, (_, goal, release, s, current) in enumerate(tasks):
+        dist = graph.dist_from(goal)
+        dist_maps.append(dist)
+        releases.append(release)
+        entries.append(s)
+        if s is None:
+            entry_dist.append(None)
+            d = dist[current]
+            token, rho, floor = current, d, t0 + d
+        else:
+            d = dist[s]
+            entry_dist.append(d)
+            token, rho, floor = PENDING, d, max(release, t0) + d
+            if release <= t0:
+                if s in currents or (s, t0) in vertex_res:
+                    rho, floor = 1 + d, t0 + 1 + d  # waits, and is counted, until t0 + 1
+                else:
+                    choosers.append(idx)
+        root.append(token)
+        h_flow += rho
+        if floor > make_lb:
+            make_lb = floor
     if flow_primary:  # no agent is in service longer than the whole flowtime
         horizon = max([t0] + releases) + upper_bound + 1
     else:
         horizon = upper_bound + 1
+    # The chooser after each chooser (after -1: the first; after the last: n).
+    next_chooser = dict(zip([-1] + choosers, choosers + [n]))
 
-    # Root configurations: agents already in the graph sit at their frozen
-    # positions; every pending agent released by t0 may either enter now or
-    # keep waiting off the graph. Each choice is (token, remaining-service
-    # lower bound, earliest possible arrival), counted from t0.
-    choices = []
-    for idx, task in enumerate(tasks):
-        if task.current is not None:
-            d = dist_maps[idx][task.current]
-            choices.append([(task.current, d, t0 + d)])
-            continue
-        d = entry_dist[idx]
-        if task.release > t0:
-            choices.append([(PENDING, d, task.release + d)])
-            continue
-        wait_or_enter = [(PENDING, 1 + d, t0 + 1 + d)]
-        if frozen.vertex_free(task.entry, t0):
-            wait_or_enter.append((task.entry, d, t0 + d))
-        choices.append(wait_or_enter)
-    heap = []
-    for combo in itertools.product(*choices):
-        pos = tuple(token for token, _, _ in combo)
-        placed = [token for token in pos if token >= 0]
-        if len(set(placed)) < len(placed):  # two agents on one vertex
-            continue
-        h_flow = sum(rho for _, rho, _ in combo)
-        make_lb = max(fixed_makespan, max(floor for _, _, floor in combo))
-        f1, f2 = (h_flow, make_lb) if flow_primary else (make_lb, h_flow)
-        if f1 <= upper_bound:
-            heap.append((f1, f2, -n, pos, t0, 0, pos, 0, h_flow, make_lb, ()))
+    def entry_layer_state(f1, f2, pos, h, m, nj):
+        """Heap entry of a state after the entry-layer choices of agents < nj:
+        chooser nj's turn, or the movement layer at t0 once nj == n. Its
+        history is the t0 tokens of agents < nj."""
+        if nj < n:
+            return (f1, f2, -nj, pos[:nj], t0 - 1, nj, pos, 0, h, m, ())
+        return (f1, f2, -n, pos, t0, 0, pos, 0, h, m, ())
+
     # Entries lead with (f1, f2, -depth, history): on a cost plateau the
     # deeper state pops first. No two entries share a history, so that prefix
     # orders them totally and fixes the pop order.
-    heapq.heapify(heap)
+    heap = []
+    f1, f2 = (h_flow, make_lb) if flow_primary else (make_lb, h_flow)
+    if f1 <= upper_bound:
+        heap.append(entry_layer_state(f1, f2, tuple(root), h_flow, make_lb, next_chooser[-1]))
 
-    vertex_res = frozen.vertex_reservations
     edge_res = frozen.edge_reservations
     adjacency = graph.adjacency
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -238,6 +266,22 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         if key in closed:
             continue
         closed.add(key)
+        if t < t0:
+            # Entry layer: agent j, released by t0, keeps waiting off the
+            # graph or enters at t0 if no agent holds its entry vertex. No
+            # cost accrues before t0, so g stays 0.
+            s, d = entries[j], entry_dist[j]
+            options = [(PENDING, 1 + d, t0 + 1 + d)]
+            if s not in pos:
+                options.append((s, d, t0 + d))
+            for new_token, rho_new, floor in options:
+                h2 = h_flow - d + rho_new
+                m2 = floor if floor > make_lb else make_lb
+                nf1, nf2 = (h2, m2) if flow_primary else (m2, h2)
+                if nf1 <= upper_bound:
+                    new_pos = pos[:j] + (new_token,) + pos[j + 1:]
+                    heappush(heap, entry_layer_state(nf1, nf2, new_pos, h2, m2, next_chooser[j]))
+            continue
         nt = t + 1
         if nt > horizon:
             continue
@@ -259,7 +303,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
             h_rest = h_flow - (1 + d if released else d)
             if releases[j] <= nt:
                 options.append((PENDING, None, 1 + d, nt + 1 + d))
-                s = tasks[j].entry
+                s = entries[j]
                 if s not in before and (s, nt) not in vertex_res:
                     options.append((s, None, d, nt + d))
             else:

@@ -449,7 +449,7 @@ def _plan_problems(adjacency, plan, tasks, t0, vertex_res, edge_res):
 def test_joint_plan_matches_brute_force_reference():
     rng = random.Random(2024)
     checked = {"flowtime": 0, "makespan": 0}
-    with_current = with_frozen = 0
+    with_current = with_frozen = entry_choices = entry_held = 0
     while sum(checked.values()) < 300:
         g, t0, walks, vertex_res, edge_res, tasks = _random_joint_case(rng)
         if not tasks:
@@ -478,7 +478,29 @@ def test_joint_plan_matches_brute_force_reference():
         checked[objective] += 1
         with_current += any(task.current is not None for task in tasks)
         with_frozen += bool(walks)
+        # The entry layer: cases with two or more agents that may enter at t0,
+        # and cases where a current task or a frozen walk holds such an entry.
+        may_enter = [task for task in tasks if task.entry is not None and task.release <= t0]
+        held = {task.current for task in tasks} | {v for v, t in vertex_res if t == t0}
+        entry_choices += len(may_enter) >= 2
+        entry_held += any(task.entry in held for task in may_enter)
     assert min(checked.values()) > 100 and with_current > 50 and with_frozen > 50
+    assert entry_choices > 30 and entry_held > 20
+
+
+def test_entry_layer_lets_the_lower_id_enter_first_on_a_shared_start():
+    # Both agents may enter at t0 = 0 on vertex 0, but only one at a time.
+    # Either order costs the same; in the entry layer agent 1 chooses first
+    # and entering is its cheaper choice, so agent 1 enters at 0 and agent 2
+    # follows one step later under both objectives.
+    g = build_graph(4, [(0, 1), (1, 2), (1, 3)])
+    tasks = [JointTask(1, 2, 0, entry=0), JointTask(2, 3, 0, entry=0)]
+    assert joint_reference(g.adjacency, tasks, 0, set(), set(), 0) == (5, 3, 5)
+    for objective, upper in (("flowtime", 5), ("makespan", 3)):
+        plan = joint_plan(g, tasks, objective, start_time=0, upper_bound=upper)
+        assert plan == {1: Path(0, (0, 1, 2)), 2: Path(1, (0, 1, 3))}
+        assert _plan_problems(g.adjacency, plan, tasks, 0, set(), set()) == []
+        assert (plan[1].arrival_time + plan[2].arrival_time, plan[2].arrival_time) == (5, 3)
 
 
 def test_makespan_key_holds_the_makespan_bound():
