@@ -11,6 +11,7 @@ for a fixed seed and configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path as FilePath
@@ -344,7 +345,11 @@ def _add_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--force", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``onmapf`` parser, built on first use and shared by every ``main``
+    call in the process: parsing never changes it, and each call gets a
+    fresh namespace."""
     # No abbreviations: each verb's flag set is exact, so a flag a verb does
     # not take is rejected rather than read as a prefix of another one.
     parser = argparse.ArgumentParser(

@@ -20,9 +20,12 @@ The search is exact and fully deterministic. It breaks ties by the secondary
 objective (makespan under flowtime and vice versa), then toward the deeper
 state (more tokens in its history, so across a plateau of equal cost it runs
 depth-first to a goal), then by the lexicographically smallest configuration
-history. Heuristics are exact graph distances, and a state is closed only on
-a key that fixes the cost of every completion (see ``joint_plan``), so
-reported optima are exact, not approximate.
+history. The history is one integer, a digit per token, whose numeric order
+among histories of one depth is that lexicographic order, so a push appends
+a digit rather than copying the history. Heuristics are exact graph
+distances, and a state is closed only on a key that fixes the cost of every
+completion (see ``joint_plan``), so reported optima are exact, not
+approximate.
 """
 
 from __future__ import annotations
@@ -146,10 +149,14 @@ def joint_plan(
     One A* pass per objective, ordered (flowtime, makespan, -depth, history)
     or (makespan, flowtime, -depth, history), where depth is the number of
     tokens in the history: on a plateau of equal cost the deeper state pops
-    first. A state is closed on a key that fixes the cost of every
-    completion, so the first path to reach it dominates later ones and the
-    first plan popped is the minimum of that order. The key is the time, the
-    next agent to move and the configuration, plus:
+    first. The history is an integer in base |V| + 2 with one digit, token +
+    2, per token (DONE 0, PENDING 1, vertex v v + 2). Histories are compared
+    only at equal depth, that is at equal length, where numeric order is the
+    lexicographic order of the token sequences. A state is closed on a key
+    that fixes the cost of every completion, so the first path to reach it
+    dominates later ones and the first plan popped is the minimum of that
+    order. The key is the time, the next agent to move and the configuration,
+    plus:
 
     * the moves already made in this layer into vertices that agents still to
       move hold, since a move u->v forbids v->u to the agent at v (each state
@@ -229,13 +236,18 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
     # The chooser after each chooser (after -1: the first; after the last: n).
     next_chooser = dict(zip([-1] + choosers, choosers + [n]))
 
+    base = graph.vertex_count + 2  # histories: one digit, token + 2, per token
+
     def entry_layer_state(f1, f2, pos, h, m, nj):
         """Heap entry of a state after the entry-layer choices of agents < nj:
         chooser nj's turn, or the movement layer at t0 once nj == n. Its
         history is the t0 tokens of agents < nj."""
+        hist = 0
+        for token in pos[:nj]:
+            hist = hist * base + token + 2
         if nj < n:
-            return (f1, f2, -nj, pos[:nj], t0 - 1, nj, pos, 0, h, m, ())
-        return (f1, f2, -n, pos, t0, 0, pos, 0, h, m, ())
+            return (f1, f2, -nj, hist, t0 - 1, nj, pos, 0, h, m, ())
+        return (f1, f2, -n, hist, t0, 0, pos, 0, h, m, ())
 
     # Entries lead with (f1, f2, -depth, history): on a cost plateau the
     # deeper state pops first. No two entries share a history, so that prefix
@@ -258,7 +270,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         if pops > budget:
             raise BudgetExhausted(f"joint search exceeded {budget} pops")
         if pos == finished:
-            return _reconstruct(hist, tasks, t0)
+            return _reconstruct(hist, -neg_depth, base, tasks, t0)
         # ``swaps``: the moves made earlier in this layer into vertices that
         # agents j.. still hold (a move u->v forbids v->u to the agent at v),
         # filtered when the state was pushed.
@@ -325,6 +337,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
 
         last = j + 1 == n
         deeper = neg_depth - 1
+        shifted = hist * base + 2  # the child's history less its token
         kept = tuple(mv for mv in swaps if mv[1] in after) if swaps and not last else ()
         for new_token, edge, rho_new, floor in options:
             h2 = h_rest + rho_new
@@ -334,26 +347,32 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
                 continue
             new_pos = before + (new_token,) + after
             if last:
-                entry = (nf1, nf2, deeper, hist + (new_token,), nt, 0, new_pos, g2, h2, m2, ())
+                entry = (nf1, nf2, deeper, shifted + new_token, nt, 0, new_pos, g2, h2, m2, ())
             else:
                 moves = kept + (edge,) if edge and edge[1] in after else kept
-                entry = (nf1, nf2, deeper, hist + (new_token,), t, j + 1, new_pos, g2, h2, m2,
+                entry = (nf1, nf2, deeper, shifted + new_token, t, j + 1, new_pos, g2, h2, m2,
                          moves)
             heappush(heap, entry)
 
     raise BudgetExhausted(f"joint search found no plan within horizon {horizon}")
 
 
-def _reconstruct(hist, tasks, t0) -> Plan:
-    """Turn the flat token history back into one Path per task.
+def _reconstruct(hist, depth, base, tasks, t0) -> Plan:
+    """Turn the integer history back into one Path per task.
 
-    ``hist`` holds one token per (layer, agent) in agent order; trailing
-    tokens of the final partial layer are all DONE and may be missing.
+    ``hist`` holds ``depth`` digits in ``base``, one token + 2 per (layer,
+    agent) in agent order; trailing tokens of the final partial layer are all
+    DONE and may be missing.
     """
+    digits = []
+    for _ in range(depth):
+        hist, digit = divmod(hist, base)
+        digits.append(digit - 2)
+    tokens = tuple(reversed(digits))
     n = len(tasks)
     plan: Plan = {}
     for idx, task in enumerate(tasks):
-        column = hist[idx::n]
+        column = tokens[idx::n]
         entry_at = column.count(PENDING)  # off-graph tokens all precede the entry
         vertices = column[entry_at:column.index(DONE)] + (task.goal,)
         plan[task.agent_id] = Path(t0 + entry_at, vertices)

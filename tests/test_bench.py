@@ -1,7 +1,7 @@
 import pytest
 
 import onmapf.bench
-from onmapf.bench import main
+from onmapf.bench import build_parser, main
 
 MAP_1X2 = "height 1\nwidth 2\nmap\n..\n"
 SCEN_SINGLE = "1 0 0 0 0 1\n"
@@ -315,3 +315,36 @@ def test_custom_irrational_solves_the_optimum_once(tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == "" and "use --force" in captured.err
     assert len(calls) == 1
+
+
+def _call(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process ``main`` call."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    ratio_2x2 = ["ratio", "--family", "2x2-adversary", "--policy", "opt-rational",
+                 "--mode", "all", "--objective", "makespan"]
+    solve_all = ["solve", "--family", "line", "--m", "4", "--policy", "opt-rational",
+                 "--mode", "all"]
+    calls = [ratio_2x2 + ["--rationalize"], ratio_2x2, ["sweep", "--m", "8"],
+             ["sweep", "--m-list", "2"], solve_all + ["--node-budget", "5"], solve_all]
+    first = []
+    for argv in calls:  # each on a freshly built parser
+        build_parser.cache_clear()
+        first.append(_call(argv, capsys))
+    reused = [_call(argv, capsys) for argv in calls]  # one parser for all
+    assert reused == first
+
+    assert [rc for rc, _, _ in reused] == [0, 0, 2, 0, 1, 0]
+    assert reused[0][1].startswith("policy opt-rational(all:makespan)+rationalized: ")
+    assert reused[1][1].startswith("policy opt-rational(all:makespan): ")
+    assert reused[2][2].startswith("usage: onmapf sweep ")
+    assert reused[4][2] == "validation failure: joint search exceeded 5 pops\n"
+    assert "flowtime 25," in reused[5][1]

@@ -554,3 +554,18 @@ def test_all_mode_makespan_plan_on_line_m4():
         3: Path(2, (0, 1, 2, 3, 4)),
         4: Path(7, (4, 3, 2, 1, 0)),
     }
+
+
+@pytest.mark.parametrize("objective", ["flowtime", "makespan"])
+def test_all_mode_plans_on_line_m6(objective):
+    # The deepest tier-1 search: among its equal-cost optima the history
+    # order picks this one under both objectives.
+    trace = run(InstanceSource(gen_line(6)), opt_rational("all", objective))
+    assert trace.plan == {
+        1: Path(0, (0, 1, 2, 3, 4, 5, 6)),
+        2: Path(1, (6, 5, 4, 5, 6, 6, 6, 6, 6, 6, 5, 4, 3, 2, 1, 0)),
+        3: Path(2, (0, 1, 2, 3, 4, 5, 6)),
+        4: Path(11, (6, 5, 4, 3, 2, 1, 0)),
+        5: Path(4, (0, 1, 2, 3, 4, 5, 6)),
+        6: Path(12, (6, 5, 4, 3, 2, 1, 0)),
+    }
