@@ -226,10 +226,6 @@ def _parse_policy_descriptor(text: str):
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
-    if not (args.family or args.map or args.graph):
-        args.family = "line"
-    if _source_kind(args) != "line":
-        raise ConfigError("sweep supports --family line")
     m_list = []
     forms = {}  # computing each m's closed forms checks it before anything runs
     for tok in filter(None, args.m_list.split(",")):
@@ -288,7 +284,7 @@ def cmd_reduce(cnf_path: str, out_dir: str) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> None:
-    if _source_kind(args) != "files":
+    if not (args.map or args.graph):
         raise ConfigError("validate needs --map or --graph")
     path, graph, scen_kw = _load_graph(args)
     print(f"{path}: ok ({graph.vertex_count} vertices, {graph.edge_count()} edges)")
@@ -321,15 +317,15 @@ def _read(path: str) -> str:
 # argument parsing
 
 
-def _add_source(parser: argparse.ArgumentParser) -> None:
+def _add_files(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--map")
     parser.add_argument("--graph")
     parser.add_argument("--scen")
-    parser.add_argument("--family", choices=["line", "grid-random", "2x2-adversary"])
 
 
 def _add_run(parser: argparse.ArgumentParser) -> None:
-    _add_source(parser)
+    _add_files(parser)
+    parser.add_argument("--family", choices=["line", "grid-random", "2x2-adversary"])
     parser.add_argument("--m", type=int)
     parser.add_argument(
         "--policy", default="sequence", choices=["sequence", "opt-rational", "custom-irrational"]
@@ -366,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run(verb("ratio", "run a policy and compare against the optimum"))
 
     p = verb("sweep", "cost table over the line family")
-    _add_source(p)
+    p.add_argument("--family", choices=["line"], default="line")
     p.add_argument("--out")
     p.add_argument("--node-budget", type=int, default=DEFAULT_LIMITS.node_budget)
     p.add_argument("--m-list", default="2,4,6")
@@ -376,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cnf", required=True)
     p.add_argument("--out", required=True)
 
-    _add_source(verb("validate", "parse and invariant-check input files"))
+    _add_files(verb("validate", "parse and invariant-check input files"))
     return parser
 
 

@@ -164,8 +164,8 @@ class DynamicObstacleSet:
 
     The set is a cooperative-A* reservation table: ``online.run`` owns one,
     extends it with ``add_path`` as each path is committed, asks ``admits``
-    whether a candidate path fits, and rebuilds it only where committed paths
-    are replaced (a rationalization fallback or an ``all``-mode replan).
+    whether a candidate path fits, and rebuilds it only after a
+    rationalization fallback, which replaces committed paths.
     ``detect_conflicts`` reads its pairs from the table of a whole plan.
     """
 
@@ -267,8 +267,8 @@ def sequential_chain(graph: Graph, agents, after: int = 0):
     Yields ``(agent, start, arrival)``: each agent starts at
     ``max(release, previous arrival)`` (``after`` for the first) and walks a
     shortest path without waiting. This is the paper's sequential reference
-    algorithm; its cost sets the rationality ceilings, bounds the joint
-    search and is what the rationalization wrapper falls back to.
+    algorithm; its cost sets the rationality ceilings and it is what the
+    rationalization wrapper falls back to.
     """
     chain = after
     for agent in agents:

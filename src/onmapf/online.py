@@ -35,17 +35,19 @@ holds, so building the context copies no plan.
 whole run. Each committed path is added to it once, in id order, and the
 single-agent planner, the ``new``-mode joint planner and the per-agent
 rationalization cap all read it. It is rebuilt from the committed plan only
-where committed paths are replaced rather than added: after a rationalization
-fallback and after an ``all``-mode replan. After every event it holds exactly
+after a rationalization fallback, which replaces committed paths rather than
+adding them. In the non-rerouting modes it holds, after every event, exactly
 the reservations of the committed plan, never those of a rejected candidate.
+In ``all`` mode nothing reads it (the replan pins the agents in the graph to
+their current vertices), so an ``all``-mode replan leaves it as it is.
 
 Every collision decision inside the loop reads that table
 (:meth:`DynamicObstacleSet.admits`). The final report,
 ``core.detect_conflicts``, builds its own table of the committed plan and
 reads its pairs from it, so it checks the plan without trusting the loop's
 table. Every one-at-a-time route (the ``sequence`` planner, the
-rationalization fallbacks, the ``all``-mode incumbent and the ``wasteful``
-hook) comes from ``core.sequential_chain``.
+rationalization fallbacks and the ``wasteful`` hook) comes from
+``core.sequential_chain``.
 
 ``run`` also keeps running totals instead of re-evaluating the revealed
 agents at every event. The sequential chain's last arrival and distance sum
@@ -324,8 +326,6 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
                 committed[agent.id] = _chain_path(graph, agent, start)
             flowtime, makespan = _costs(committed, new_agents, prev_flowtime, prev_makespan)
             obstacles = build_obstacles(committed)
-        elif policy.mode == "all":
-            obstacles = build_obstacles(committed)
         metrics = Metrics(flowtime, makespan, flowtime - dist_sum)
         trace_snapshots.append(Snapshot(len(trace_snapshots) + 1, time_k, dict(committed), metrics,
                                         bounds, fallback))
@@ -362,7 +362,7 @@ def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, polic
     rationalized ``new``-mode group has a path the reservation table does not
     admit. ``makespan`` is the latest committed arrival before the event."""
     if policy.mode == "all":
-        _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits, makespan)
+        _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits)
         return False
     produced = None
     if policy.planner == "custom":
@@ -371,7 +371,7 @@ def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, polic
             raise ValueError("custom hook must return exactly the new agents' paths")
     elif policy.mode == "new":
         produced = offline_optimal(graph, new_agents, frozen=obstacles, objective=policy.objective,
-                                   limits=limits, start_time=time_k, fixed_makespan=makespan)
+                                   limits=limits, fixed_makespan=makespan)
     capped = policy.rationalized and policy.mode == "new-single"
     clashed = False
     for agent in new_agents:
@@ -401,12 +401,11 @@ def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, polic
     return clashed
 
 
-def _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits, prev_makespan):
+def _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits):
     """Replan every revealed agent's future from time_k on."""
     tasks = []
     prefixes = {}
     fixed_makespan = 0
-    incumbent_arrivals = {}
     # The new group holds the highest ids, so the tasks are in id order, the
     # order joint_plan takes them in.
     for agent in revealed[:len(revealed) - len(new_agents)]:
@@ -417,32 +416,12 @@ def _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits, 
         elif path.start_time <= time_k:
             tasks.append(JointTask(aid, agent.goal, agent.release, current=path.position(time_k)))
             prefixes[aid] = path
-            incumbent_arrivals[aid] = path.arrival_time
         else:
             tasks.append(JointTask(aid, agent.goal, agent.release, entry=agent.start))
-            incumbent_arrivals[aid] = path.arrival_time
     for agent in new_agents:
         tasks.append(JointTask(agent.id, agent.goal, agent.release, entry=agent.start))
-    # Incumbent continuation: keep old futures, chain the new group after the
-    # committed makespan. Its cost is a sound upper bound for the replan.
-    for agent, _, arrival in sequential_chain(graph, new_agents, max(time_k, prev_makespan)):
-        incumbent_arrivals[agent.id] = arrival
-    if policy.objective == "flowtime":
-        upper = sum(
-            incumbent_arrivals[t.agent_id] - max(t.release, time_k) for t in tasks
-        )
-    else:
-        upper = max([fixed_makespan] + list(incumbent_arrivals.values()))
-
-    sub = joint_plan(
-        graph,
-        tasks,
-        policy.objective,
-        start_time=time_k,
-        limits=limits,
-        upper_bound=upper,
-        fixed_makespan=fixed_makespan,
-    )
+    sub = joint_plan(graph, tasks, policy.objective, start_time=time_k, limits=limits,
+                     fixed_makespan=fixed_makespan)
     for aid, suffix in sub.items():
         old = prefixes.get(aid)
         if old is None:

@@ -34,7 +34,7 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Agent, DynamicObstacleSet, Path, Plan, sequential_chain
+from .core import Agent, DynamicObstacleSet, Path, Plan
 from .core import build_obstacles  # noqa: F401 - benchmark/tracer.py patches it here
 from .errors import BudgetExhausted
 from .world import Graph
@@ -45,10 +45,7 @@ DONE = -2  # joint-state token: arrived and removed
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Caps for a single search call: at most ``node_budget`` heap pops.
-
-    The time horizons are derived from the inputs, never set here.
-    """
+    """Caps for a single search call: at most ``node_budget`` heap pops."""
 
     node_budget: int = 10_000_000
 
@@ -67,7 +64,7 @@ def plan_min_arrival(
     The joint search over this one agent: it may stay off the graph as long
     as it likes before entering at its start vertex, so a plan always exists
     (worst case it enters after all reservations have expired and walks a
-    shortest path, which is the search's upper bound).
+    shortest path).
     """
     return offline_optimal(graph, [agent], frozen=obstacles, limits=limits)[agent.id]
 
@@ -94,34 +91,26 @@ def offline_optimal(
     objective: str = "flowtime",
     limits: SearchLimits | None = None,
     *,
-    start_time: int | None = None,
     fixed_makespan: int = 0,
 ) -> Plan:
     """Exact minimum-cost joint plan for a set of not-yet-started agents.
 
     Every agent may start at any time at or after its release; the plan also
-    avoids all ``frozen`` reservations. ``fixed_makespan`` folds the arrival
-    times of agents outside the search into the makespan objective (used when
-    previously planned agents count toward the measured cost). Intended for
-    small agent sets; exponential in the number of agents.
+    avoids all ``frozen`` reservations and starts at the earliest release.
+    ``fixed_makespan`` folds the arrival times of agents outside the search
+    into the makespan objective (used when previously planned agents count
+    toward the measured cost). Intended for small agent sets; exponential in
+    the number of agents.
 
-    The search is bounded by the cost of the trivially feasible plan: wait
-    until every reservation has expired, then ``sequential_chain``.
+    A conflict-free plan always exists: wait until every reservation has
+    expired, then ``sequential_chain``.
     """
     agents = sorted(agents, key=lambda a: a.id)
     if not agents:
         return {}
     tasks = [JointTask(a.id, a.goal, a.release, entry=a.start) for a in agents]
-    if start_time is None:
-        start_time = min(a.release for a in agents)
-    after = max(frozen.horizon if frozen is not None else 0, start_time)
-    chain = list(sequential_chain(graph, agents, after))
-    if objective == "flowtime":
-        upper = sum(arrival - max(agent.release, start_time) for agent, _, arrival in chain)
-    else:
-        upper = max(fixed_makespan, chain[-1][2])
-    return joint_plan(graph, tasks, objective, frozen=frozen, start_time=start_time,
-                      limits=limits, upper_bound=upper, fixed_makespan=fixed_makespan)
+    return joint_plan(graph, tasks, objective, frozen=frozen, limits=limits,
+                      start_time=min(a.release for a in agents), fixed_makespan=fixed_makespan)
 
 
 def joint_plan(
@@ -131,7 +120,6 @@ def joint_plan(
     *,
     frozen: DynamicObstacleSet | None = None,
     start_time: int,
-    upper_bound: int,
     limits: SearchLimits | None = None,
     fixed_makespan: int = 0,
 ) -> Plan:
@@ -141,10 +129,13 @@ def joint_plan(
     agents (``offline_optimal`` sorts its agents once). Returns one path per
     task; paths of tasks given by ``current`` start at
     ``start_time`` at that vertex (callers splice their executed prefixes back
-    on). ``upper_bound`` is the cost of a known feasible plan in the same
-    units as the objective (``offline_optimal`` passes the sequential chain's
-    cost, the ``all``-mode replan its incumbent); it prunes and sets the time
-    horizon but never changes the optimum.
+    on).
+
+    The caller guarantees that a conflict-free plan exists, as it does for
+    ``offline_optimal`` and for an ``all``-mode replan (the committed futures
+    with the new group chained after them are one). Otherwise an agent off
+    the graph may wait forever and only the node budget ends the search; the
+    heap empties only when every state is a dead end.
 
     One A* pass per objective, ordered (flowtime, makespan, -depth, history)
     or (makespan, flowtime, -depth, history), where depth is the number of
@@ -166,6 +157,11 @@ def joint_plan(
       arrival floors): paths that agree on it get the same makespan in every
       completion, so less flowtime, then the smaller history, wins.
 
+    Each state carries one flowtime lower bound: the steps accrued so far
+    plus, per agent, rho, the fewest steps it still accrues. Agent j's move
+    takes its old rho out, adds the step it accrues in this layer (if
+    released) and puts the rho of its new token in.
+
     The layers run from t0 - 1 on. The entry layer at t0 - 1 moves only the
     agents that may still enter at t0: each keeps waiting or enters at t0 if
     no agent holds its entry vertex, and no cost accrues in it. Until an agent
@@ -186,27 +182,22 @@ def joint_plan(
         frozen = DynamicObstacleSet()
     if limits is None:
         limits = DEFAULT_LIMITS
-    return _od_search(graph, tasks, objective, frozen, start_time, limits, upper_bound,
-                      fixed_makespan)
-
-
-def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_makespan):
-    """One operator-decomposition A* pass; returns the optimal plan."""
+    t0 = start_time
     n = len(tasks)
-    flow_primary = primary == "flowtime"
+    flow_primary = objective == "flowtime"
     vertex_res = frozen.vertex_reservations
     # The one root is the configuration at t0: agents already in the graph
     # sit at their current vertex, every other agent is PENDING. Each agent
-    # adds its remaining-service lower bound to h and its earliest possible
-    # arrival to the makespan bound. A pending agent released by t0 whose
-    # entry no frozen walk and no current agent holds at t0 still chooses, in
-    # the entry layer, to enter at t0 or to keep waiting; until then it counts
-    # as entering, the cheaper choice. Every other agent has one choice.
+    # adds its rho to the flowtime bound and its earliest possible arrival to
+    # the makespan bound. A pending agent released by t0 whose entry no
+    # frozen walk and no current agent holds at t0 still chooses, in the
+    # entry layer, to enter at t0 or to keep waiting; until then it counts as
+    # entering, the cheaper choice. Every other agent has one choice.
     currents = {task.current for task in tasks}
     dist_maps, releases, entries, entry_dist = [], [], [], []
     root = []
     choosers = []  # agents that choose in the entry layer, in id order
-    h_flow, make_lb = 0, fixed_makespan
+    flow, make_lb = 0, fixed_makespan
     for idx, (_, goal, release, s, current) in enumerate(tasks):
         dist = graph.dist_from(goal)
         dist_maps.append(dist)
@@ -226,19 +217,15 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
                 else:
                     choosers.append(idx)
         root.append(token)
-        h_flow += rho
+        flow += rho
         if floor > make_lb:
             make_lb = floor
-    if flow_primary:  # no agent is in service longer than the whole flowtime
-        horizon = max([t0] + releases) + upper_bound + 1
-    else:
-        horizon = upper_bound + 1
     # The chooser after each chooser (after -1: the first; after the last: n).
     next_chooser = dict(zip([-1] + choosers, choosers + [n]))
 
     base = graph.vertex_count + 2  # histories: one digit, token + 2, per token
 
-    def entry_layer_state(f1, f2, pos, h, m, nj):
+    def entry_layer_state(f1, f2, pos, flow, m, nj):
         """Heap entry of a state after the entry-layer choices of agents < nj:
         chooser nj's turn, or the movement layer at t0 once nj == n. Its
         history is the t0 tokens of agents < nj."""
@@ -246,16 +233,14 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         for token in pos[:nj]:
             hist = hist * base + token + 2
         if nj < n:
-            return (f1, f2, -nj, hist, t0 - 1, nj, pos, 0, h, m, ())
-        return (f1, f2, -n, hist, t0, 0, pos, 0, h, m, ())
+            return (f1, f2, -nj, hist, t0 - 1, nj, pos, flow, m, ())
+        return (f1, f2, -n, hist, t0, 0, pos, flow, m, ())
 
     # Entries lead with (f1, f2, -depth, history): on a cost plateau the
     # deeper state pops first. No two entries share a history, so that prefix
     # orders them totally and fixes the pop order.
-    heap = []
-    f1, f2 = (h_flow, make_lb) if flow_primary else (make_lb, h_flow)
-    if f1 <= upper_bound:
-        heap.append(entry_layer_state(f1, f2, tuple(root), h_flow, make_lb, next_chooser[-1]))
+    f1, f2 = (flow, make_lb) if flow_primary else (make_lb, flow)
+    heap = [entry_layer_state(f1, f2, tuple(root), flow, make_lb, next_chooser[-1])]
 
     edge_res = frozen.edge_reservations
     adjacency = graph.adjacency
@@ -265,7 +250,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
     closed = set()
     pops = 0
     while heap:
-        f1, f2, neg_depth, hist, t, j, pos, g_flow, h_flow, make_lb, swaps = heappop(heap)
+        f1, f2, neg_depth, hist, t, j, pos, flow, make_lb, swaps = heappop(heap)
         pops += 1
         if pops > budget:
             raise BudgetExhausted(f"joint search exceeded {budget} pops")
@@ -281,38 +266,34 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         if t < t0:
             # Entry layer: agent j, released by t0, keeps waiting off the
             # graph or enters at t0 if no agent holds its entry vertex. No
-            # cost accrues before t0, so g stays 0.
+            # cost accrues before t0.
             s, d = entries[j], entry_dist[j]
             options = [(PENDING, 1 + d, t0 + 1 + d)]
             if s not in pos:
                 options.append((s, d, t0 + d))
             for new_token, rho_new, floor in options:
-                h2 = h_flow - d + rho_new
+                flow2 = flow - d + rho_new
                 m2 = floor if floor > make_lb else make_lb
-                nf1, nf2 = (h2, m2) if flow_primary else (m2, h2)
-                if nf1 <= upper_bound:
-                    new_pos = pos[:j] + (new_token,) + pos[j + 1:]
-                    heappush(heap, entry_layer_state(nf1, nf2, new_pos, h2, m2, next_chooser[j]))
+                nf1, nf2 = (flow2, m2) if flow_primary else (m2, flow2)
+                new_pos = pos[:j] + (new_token,) + pos[j + 1:]
+                heappush(heap, entry_layer_state(nf1, nf2, new_pos, flow2, m2, next_chooser[j]))
             continue
         nt = t + 1
-        if nt > horizon:
-            continue
         token = pos[j]
         before, after = pos[:j], pos[j + 1:]  # tokens are negative, never a vertex
         dist = dist_maps[j]
 
-        # Agent j's accrual and rho(token, t, j) once per pop; each option
-        # carries rho(new token, nt, j) and the arrival floor (nt on arrival)
-        # that it puts into the makespan bound.
+        # ``rest``: the flowtime bound less agent j's rho, plus its accrual in
+        # this layer. Off the graph, a released agent's accrual of 1 cancels
+        # the wait of 1 in its rho. Each option carries rho(new token, nt, j)
+        # and the arrival floor (nt on arrival) it puts into the makespan bound.
         options = []  # (new token, move edge or None, rho, arrival floor)
         if token == DONE:
-            g2, h_rest = g_flow, h_flow
+            rest = flow
             options.append((DONE, None, 0, make_lb))
         elif token == PENDING:
             d = entry_dist[j]
-            released = releases[j] <= t
-            g2 = g_flow + 1 if released else g_flow
-            h_rest = h_flow - (1 + d if released else d)
+            rest = flow - d
             if releases[j] <= nt:
                 options.append((PENDING, None, 1 + d, nt + 1 + d))
                 s = entries[j]
@@ -322,8 +303,7 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
                 options.append((PENDING, None, d, releases[j] + d))
         else:
             v = token
-            g2 = g_flow + 1 if releases[j] <= t else g_flow
-            h_rest = h_flow - dist[v]
+            rest = flow + (releases[j] <= t) - dist[v]
             if v not in before and (v, nt) not in vertex_res:
                 options.append((v, None, dist[v], nt + dist[v]))
             goal = tasks[j].goal
@@ -340,21 +320,19 @@ def _od_search(graph, tasks, primary, frozen, t0, limits, upper_bound, fixed_mak
         shifted = hist * base + 2  # the child's history less its token
         kept = tuple(mv for mv in swaps if mv[1] in after) if swaps and not last else ()
         for new_token, edge, rho_new, floor in options:
-            h2 = h_rest + rho_new
+            flow2 = rest + rho_new
             m2 = floor if floor > make_lb else make_lb
-            nf1, nf2 = (g2 + h2, m2) if flow_primary else (m2, g2 + h2)
-            if nf1 > upper_bound:
-                continue
+            nf1, nf2 = (flow2, m2) if flow_primary else (m2, flow2)
             new_pos = before + (new_token,) + after
             if last:
-                entry = (nf1, nf2, deeper, shifted + new_token, nt, 0, new_pos, g2, h2, m2, ())
+                entry = (nf1, nf2, deeper, shifted + new_token, nt, 0, new_pos, flow2, m2, ())
             else:
                 moves = kept + (edge,) if edge and edge[1] in after else kept
-                entry = (nf1, nf2, deeper, shifted + new_token, t, j + 1, new_pos, g2, h2, m2,
+                entry = (nf1, nf2, deeper, shifted + new_token, t, j + 1, new_pos, flow2, m2,
                          moves)
             heappush(heap, entry)
 
-    raise BudgetExhausted(f"joint search found no plan within horizon {horizon}")
+    raise BudgetExhausted("joint search found no conflict-free plan")
 
 
 def _reconstruct(hist, depth, base, tasks, t0) -> Plan:

@@ -121,27 +121,27 @@ class GridMap:
         return self._cells[vertex]
 
     def to_graph(self) -> Graph:
-        return build_grid(self.height, self.width, self.blocked)
+        """One vertex per unblocked cell, edges between orthogonally adjacent
+        unblocked cells."""
+        if not self._cells:
+            raise EmptyWorld("all grid cells are blocked")
+        index = self._index
+        edges = [
+            (index[(r, c)], index[cell])
+            for (r, c) in self._cells
+            for cell in ((r + 1, c), (r, c + 1))
+            if cell in index
+        ]
+        try:
+            return build_graph(len(self._cells), edges)
+        except DisconnectedWorld:
+            raise DisconnectedWorld("unblocked cells are not connected") from None
 
 
 def build_grid(height: int, width: int, blocked=()) -> Graph:
-    """Graph of a height x width grid: one vertex per unblocked cell, edges
-    between orthogonally adjacent unblocked cells."""
-    blocked = frozenset(blocked)
-    grid = GridMap(height, width, blocked)
-    cells = grid.cells()
-    if not cells:
-        raise EmptyWorld("all grid cells are blocked")
-    index = {cell: i for i, cell in enumerate(cells)}
-    edges = []
-    for (r, c) in cells:
-        for (r2, c2) in ((r + 1, c), (r, c + 1)):
-            if (r2, c2) in index:
-                edges.append((index[(r, c)], index[(r2, c2)]))
-    try:
-        return build_graph(len(cells), edges)
-    except DisconnectedWorld:
-        raise DisconnectedWorld("unblocked cells are not connected") from None
+    """Graph of a height x width grid with the given cells blocked; see
+    ``GridMap.to_graph``."""
+    return GridMap(height, width, frozenset(blocked)).to_graph()
 
 
 def shortest_dist(graph: Graph, s: int, t: int) -> int:

@@ -209,12 +209,17 @@ def test_config_errors(capsys):
     assert main(["solve", "--family", "line", "--m", "2", "--map", "x"]) == 2
     assert main(["solve"]) == 2  # no source at all
     capsys.readouterr()
+    assert main(["validate", "--scen", "x"]) == 2
+    assert "validate needs --map or --graph" in capsys.readouterr().err
 
 
 def test_verbs_reject_flags_they_do_not_read(capsys):
     for argv in (["sweep", "--m", "8", "--m-list", "2"], ["sweep", "--seed", "1"],
-                 ["sweep", "--force"], ["validate", "--map", "x", "--out", "x"],
-                 ["validate", "--map", "x", "--node-budget", "5"]):
+                 ["sweep", "--force"], ["sweep", "--map", "x"],
+                 ["sweep", "--family", "grid-random"],
+                 ["validate", "--map", "x", "--out", "x"],
+                 ["validate", "--map", "x", "--node-budget", "5"],
+                 ["validate", "--family", "line"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -30,6 +30,7 @@ from onmapf import (
 )
 from onmapf.adversary import RandomSpec, line_closed_forms
 from onmapf.errors import DisconnectedWorld, EmptyWorld
+from onmapf import online
 from onmapf.online import replay_policy, wasteful_policy
 
 ALL_OPT_RATIONAL = [
@@ -143,6 +144,17 @@ def test_plan_all_beats_plan_new_on_line():
     flow_seq = run(InstanceSource(inst), sequence_policy()).metrics.flowtime
     assert flow_all <= flow_new <= flow_seq
     assert flow_all == line_closed_forms(4).opt_flow  # rerouting recovers the optimum here
+
+
+def test_all_mode_never_rebuilds_the_reservation_table(monkeypatch):
+    # Nothing reads the loop's table in all mode, so a replan leaves it as
+    # it is; the final conflict report builds its own through core.
+    built = []
+    monkeypatch.setattr(online, "build_obstacles", lambda plan: built.append(plan))
+    for objective in ("flowtime", "makespan"):
+        trace = run(InstanceSource(gen_line(4)), opt_rational("all", objective))
+        assert trace.conflicts == []
+    assert built == []
 
 
 def test_plan_all_against_2x2_adversary():
