@@ -71,7 +71,6 @@ from .online import (
 )
 from .search import (
     JointTask,
-    SearchLimits,
     joint_plan,
     offline_optimal,
     plan_min_arrival,

@@ -28,7 +28,7 @@ from .errors import (
     OddM,
     ParseError,
 )
-from .search import DEFAULT_LIMITS, SearchLimits, offline_optimal
+from .search import NODE_BUDGET, offline_optimal
 
 ORACLE_MAX_AGENTS = 4
 ORACLE_MAX_VERTICES = 25
@@ -127,7 +127,7 @@ def _oracle(args: argparse.Namespace, inst: OnlineInstance):
         )
     return offline_optimal(
         inst.graph, inst.agents, objective=_planning_objective(args.objective),
-        limits=SearchLimits(node_budget=args.node_budget),
+        node_budget=args.node_budget,
     )
 
 
@@ -178,7 +178,7 @@ def cmd_run(args: argparse.Namespace, with_ratio: bool) -> None:
                               "not available against an adaptive adversary")
         optimum = _oracle(args, fixed_instance)
     policy = _build_policy(args, optimum)
-    trace = online.run(source, policy, SearchLimits(node_budget=args.node_budget))
+    trace = online.run(source, policy, args.node_budget)
     r = _ratio(args, trace, optimum) if with_ratio else None
     m = trace.metrics
     rational = all(snap.flow_ok and snap.make_ok for snap in trace.snapshots)
@@ -236,24 +236,25 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         m_list.append(m)
         forms[m] = adversary.line_closed_forms(m)
     policies = [_parse_policy_descriptor(tok) for tok in args.policies.split(",") if tok]
-    limits = SearchLimits(node_budget=args.node_budget)
     rows = []
     monotone_ok = True
     for policy in policies:
-        prev_flow_ratio = None
-        prev_make_ratio = None
+        ratios = {}  # m -> (flowtime ratio, makespan ratio)
         for m in m_list:
-            trace = online.run(online.InstanceSource(adversary.gen_line(m)), policy, limits)
+            trace = online.run(online.InstanceSource(adversary.gen_line(m)), policy,
+                               args.node_budget)
             if trace.conflicts:
                 raise ValidationFailure(f"conflicts on line m={m} under {policy.name}")
             flow_ratio = RatioReport.of(trace.metrics.flowtime, forms[m].opt_flow).ratio
             make_ratio = RatioReport.of(trace.metrics.makespan, forms[m].opt_make).ratio
             rows.append((m, policy.name, trace.metrics.flowtime, trace.metrics.makespan,
                          _ratio_str(flow_ratio), _ratio_str(make_ratio)))
-            if policy.mode in ("new-single", "new") and m >= 4:
-                if prev_flow_ratio is not None and m > 4:
-                    monotone_ok &= flow_ratio > prev_flow_ratio and make_ratio > prev_make_ratio
-                prev_flow_ratio, prev_make_ratio = flow_ratio, make_ratio
+            ratios[m] = flow_ratio, make_ratio
+        if policy.mode in ("new-single", "new"):
+            # Rows keep the --m-list order; the check reads the distinct
+            # m >= 4 in increasing order.
+            rising = [ratios[m] for m in sorted(ratios) if m >= 4]
+            monotone_ok &= all(a[0] < b[0] and a[1] < b[1] for a, b in zip(rising, rising[1:]))
     table = _csv(SWEEP_COLUMNS, rows)
     if args.out:
         _write_files(args.out, {"sweep.csv": table})
@@ -337,7 +338,7 @@ def _add_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rationalize", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out")
-    parser.add_argument("--node-budget", type=int, default=DEFAULT_LIMITS.node_budget)
+    parser.add_argument("--node-budget", type=int, default=NODE_BUDGET)
     parser.add_argument("--force", action="store_true")
 
 
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("sweep", "cost table over the line family")
     p.add_argument("--family", choices=["line"], default="line")
     p.add_argument("--out")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_LIMITS.node_budget)
+    p.add_argument("--node-budget", type=int, default=NODE_BUDGET)
     p.add_argument("--m-list", default="2,4,6")
     p.add_argument("--policies", default="sequence")
 
@@ -389,6 +390,8 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(before)}")
         args.verb_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
+        if args.verb in ("solve", "ratio", "sweep") and args.node_budget < 1:
+            raise ConfigError(f"--node-budget must be a positive pop count, got {args.node_budget}")
         if args.verb in ("solve", "ratio"):
             cmd_run(args, with_ratio=args.verb == "ratio")
         elif args.verb == "sweep":

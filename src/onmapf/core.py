@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, UnplannedAgent
-from .world import Graph, GridMap, shortest_dist
+from .world import Graph, GridMap, _parse_int, shortest_dist
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,6 @@ class Path:
             if u != v:
                 yield u, v, self.start_time + j
 
-    def wait_count(self) -> int:
-        return sum(
-            1 for j in range(len(self.vertices) - 1) if self.vertices[j] == self.vertices[j + 1]
-        )
-
 
 # A plan is simply a mapping agent id -> Path, possibly partial.
 Plan = dict[int, Path]
@@ -172,7 +167,6 @@ class DynamicObstacleSet:
     def __init__(self):
         self.vertex_reservations: dict[tuple[int, int], list[int]] = {}
         self.edge_reservations: dict[tuple[int, int, int], list[int]] = {}
-        self.horizon = 0
 
     def add_path(self, agent_id: int, path: Path) -> None:
         for offset in range(len(path.vertices) - 1):
@@ -180,8 +174,6 @@ class DynamicObstacleSet:
             self.vertex_reservations.setdefault(cell, []).append(agent_id)
         for move in path.moves():
             self.edge_reservations.setdefault(move, []).append(agent_id)
-        if len(path.vertices) > 1:  # the last reserved step is arrival - 1
-            self.horizon = max(self.horizon, path.arrival_time)
 
     def vertex_free(self, v: int, t: int) -> bool:
         return (v, t) not in self.vertex_reservations
@@ -347,7 +339,7 @@ def load_scenario(text: str, *, grid: GridMap | None = None, graph: Graph | None
         if len(parts) == 6:
             if grid is None:
                 raise ParseError("grid scenario line but no grid map given", source, lineno)
-            aid, rel, sr, sc, gr, gc = (_int(p, source, lineno) for p in parts)
+            aid, rel, sr, sc, gr, gc = (_parse_int(p, source, lineno) for p in parts)
             try:
                 start = grid.vertex_of(sr, sc)
                 goal = grid.vertex_of(gr, gc)
@@ -356,7 +348,7 @@ def load_scenario(text: str, *, grid: GridMap | None = None, graph: Graph | None
         elif len(parts) == 4:
             if graph is None:
                 raise ParseError("graph scenario line but no graph given", source, lineno)
-            aid, rel, start, goal = (_int(p, source, lineno) for p in parts)
+            aid, rel, start, goal = (_parse_int(p, source, lineno) for p in parts)
             if not (0 <= start < graph.vertex_count and 0 <= goal < graph.vertex_count):
                 raise ParseError("vertex out of range", source, lineno)
         else:
@@ -395,10 +387,3 @@ def plan_to_csv(plan: Plan, inst: OnlineInstance) -> str:
             + ";".join(str(v) for v in path.vertices)
         )
     return "\n".join(rows) + "\n"
-
-
-def _int(token: str, source: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", source, lineno) from None

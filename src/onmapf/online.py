@@ -80,9 +80,8 @@ from .core import (
 )
 from .errors import ProtocolViolation
 from .search import (
-    DEFAULT_LIMITS,
+    NODE_BUDGET,
     JointTask,
-    SearchLimits,
     joint_plan,
     offline_optimal,
     plan_min_arrival,
@@ -271,10 +270,9 @@ class SimulationTrace:
     conflicts: list = field(default_factory=list)
 
 
-def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None = None) -> SimulationTrace:
+def run(source: RevealSource, policy: OnlinePolicy,
+        node_budget: int = NODE_BUDGET) -> SimulationTrace:
     """Drive the policy over all reveal events and return the full trace."""
-    if limits is None:
-        limits = DEFAULT_LIMITS
     graph = source.graph()
     committed: Plan = {}
     obstacles = DynamicObstacleSet()
@@ -309,7 +307,7 @@ def run(source: RevealSource, policy: OnlinePolicy, limits: SearchLimits | None 
         prev_flowtime, prev_makespan = flowtime, makespan
 
         clashed = _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, policy,
-                              limits, prev_makespan, bounds)
+                              node_budget, prev_makespan, bounds)
 
         if policy.mode == "all":
             flowtime, makespan = _costs(committed, revealed)
@@ -356,13 +354,13 @@ def _chain_path(graph, agent, start):
     return Path(start, shortest_path_lex(graph, agent.start, agent.goal))
 
 
-def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, policy, limits,
+def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, policy, node_budget,
                 makespan, bounds):
     """Commit the new group's paths (see the module docstring); True if a
     rationalized ``new``-mode group has a path the reservation table does not
     admit. ``makespan`` is the latest committed arrival before the event."""
     if policy.mode == "all":
-        _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits)
+        _replan_all(committed, graph, revealed, new_agents, time_k, policy, node_budget)
         return False
     produced = None
     if policy.planner == "custom":
@@ -371,7 +369,7 @@ def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, polic
             raise ValueError("custom hook must return exactly the new agents' paths")
     elif policy.mode == "new":
         produced = offline_optimal(graph, new_agents, frozen=obstacles, objective=policy.objective,
-                                   limits=limits, fixed_makespan=makespan)
+                                   node_budget=node_budget, fixed_makespan=makespan)
     capped = policy.rationalized and policy.mode == "new-single"
     clashed = False
     for agent in new_agents:
@@ -381,7 +379,7 @@ def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, polic
         if policy.planner == "sequence":
             path = _chain_path(graph, agent, start)
         elif produced is None:
-            path = plan_min_arrival(graph, agent, obstacles, limits)
+            path = plan_min_arrival(graph, agent, obstacles, node_budget)
         else:
             path = produced[agent.id]
             if policy.planner == "custom":
@@ -401,7 +399,7 @@ def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, polic
     return clashed
 
 
-def _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits):
+def _replan_all(committed, graph, revealed, new_agents, time_k, policy, node_budget):
     """Replan every revealed agent's future from time_k on."""
     tasks = []
     prefixes = {}
@@ -420,7 +418,7 @@ def _replan_all(committed, graph, revealed, new_agents, time_k, policy, limits):
             tasks.append(JointTask(aid, agent.goal, agent.release, entry=agent.start))
     for agent in new_agents:
         tasks.append(JointTask(agent.id, agent.goal, agent.release, entry=agent.start))
-    sub = joint_plan(graph, tasks, policy.objective, start_time=time_k, limits=limits,
+    sub = joint_plan(graph, tasks, policy.objective, start_time=time_k, node_budget=node_budget,
                      fixed_makespan=fixed_makespan)
     for aid, suffix in sub.items():
         old = prefixes.get(aid)

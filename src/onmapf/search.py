@@ -31,7 +31,6 @@ approximate.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Agent, DynamicObstacleSet, Path, Plan
@@ -41,23 +40,14 @@ from .world import Graph
 
 PENDING = -1  # joint-state token: revealed (or not) but not yet in the graph
 DONE = -2  # joint-state token: arrived and removed
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    """Caps for a single search call: at most ``node_budget`` heap pops."""
-
-    node_budget: int = 10_000_000
-
-
-DEFAULT_LIMITS = SearchLimits()
+NODE_BUDGET = 10_000_000  # default cap on heap pops per search call
 
 
 def plan_min_arrival(
     graph: Graph,
     agent: Agent,
     obstacles: DynamicObstacleSet | None = None,
-    limits: SearchLimits | None = None,
+    node_budget: int = NODE_BUDGET,
 ) -> Path:
     """Earliest-arrival path for one agent against a set of moving obstacles.
 
@@ -66,7 +56,7 @@ def plan_min_arrival(
     (worst case it enters after all reservations have expired and walks a
     shortest path).
     """
-    return offline_optimal(graph, [agent], frozen=obstacles, limits=limits)[agent.id]
+    return offline_optimal(graph, [agent], frozen=obstacles, node_budget=node_budget)[agent.id]
 
 
 class JointTask(NamedTuple):
@@ -74,7 +64,8 @@ class JointTask(NamedTuple):
 
     Either ``entry`` is set (the agent still has to appear at that vertex, no
     earlier than ``release``) or ``current`` is set (the agent sits at that
-    vertex when the plan starts and only its future is open).
+    vertex when the plan starts and only its future is open; it is released by
+    the search's ``start_time``, so it accrues a step in every layer).
     """
 
     agent_id: int
@@ -89,7 +80,7 @@ def offline_optimal(
     agents,
     frozen: DynamicObstacleSet | None = None,
     objective: str = "flowtime",
-    limits: SearchLimits | None = None,
+    node_budget: int = NODE_BUDGET,
     *,
     fixed_makespan: int = 0,
 ) -> Plan:
@@ -109,7 +100,7 @@ def offline_optimal(
     if not agents:
         return {}
     tasks = [JointTask(a.id, a.goal, a.release, entry=a.start) for a in agents]
-    return joint_plan(graph, tasks, objective, frozen=frozen, limits=limits,
+    return joint_plan(graph, tasks, objective, frozen=frozen, node_budget=node_budget,
                       start_time=min(a.release for a in agents), fixed_makespan=fixed_makespan)
 
 
@@ -120,7 +111,7 @@ def joint_plan(
     *,
     frozen: DynamicObstacleSet | None = None,
     start_time: int,
-    limits: SearchLimits | None = None,
+    node_budget: int = NODE_BUDGET,
     fixed_makespan: int = 0,
 ) -> Plan:
     """Exact joint plan over explicit tasks; see ``offline_optimal``.
@@ -180,8 +171,6 @@ def joint_plan(
         return {}
     if frozen is None:
         frozen = DynamicObstacleSet()
-    if limits is None:
-        limits = DEFAULT_LIMITS
     t0 = start_time
     n = len(tasks)
     flow_primary = objective == "flowtime"
@@ -245,15 +234,14 @@ def joint_plan(
     edge_res = frozen.edge_reservations
     adjacency = graph.adjacency
     heappush, heappop = heapq.heappush, heapq.heappop
-    budget = limits.node_budget
     finished = (DONE,) * n
     closed = set()
     pops = 0
     while heap:
         f1, f2, neg_depth, hist, t, j, pos, flow, make_lb, swaps = heappop(heap)
         pops += 1
-        if pops > budget:
-            raise BudgetExhausted(f"joint search exceeded {budget} pops")
+        if pops > node_budget:
+            raise BudgetExhausted(f"joint search exceeded {node_budget} pops")
         if pos == finished:
             return _reconstruct(hist, -neg_depth, base, tasks, t0)
         # ``swaps``: the moves made earlier in this layer into vertices that
@@ -303,7 +291,7 @@ def joint_plan(
                 options.append((PENDING, None, d, releases[j] + d))
         else:
             v = token
-            rest = flow + (releases[j] <= t) - dist[v]
+            rest = flow + 1 - dist[v]  # an agent in the graph is released
             if v not in before and (v, nt) not in vertex_res:
                 options.append((v, None, dist[v], nt + dist[v]))
             goal = tasks[j].goal

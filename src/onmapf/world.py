@@ -107,10 +107,6 @@ class GridMap:
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_index", {cell: i for i, cell in enumerate(cells)})
 
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        """Unblocked cells in row-major order."""
-        return self._cells
-
     def vertex_of(self, row: int, col: int) -> int:
         try:
             return self._index[(row, col)]

@@ -6,7 +6,6 @@ see the lines as they happen. The random-instance criteria share one
 session-scoped batch of 200 seeded instances.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -40,8 +39,14 @@ from onmapf.adversary import RandomSpec
 from onmapf.errors import DisconnectedWorld, EmptyWorld
 from onmapf.online import wasteful_policy
 from onmapf.search import DynamicObstacleSet
-from onmapf.world import build_graph
 from onmapf.core import Path
+
+from references import (
+    brute_force_assignment,
+    min_arrival_oracle,
+    random_connected_graph,
+    reservation_horizon,
+)
 
 OPT_RATIONAL_POLICIES = [
     opt_rational(mode, objective)
@@ -160,18 +165,10 @@ SAT_CASES = [
 ]
 
 
-def _brute_force_assignment(sat):
-    for bits in itertools.product([False, True], repeat=sat.variable_count):
-        assignment = {i + 1: value for i, value in enumerate(bits)}
-        if satisfies(sat, assignment):
-            return assignment
-    return None
-
-
 def test_criterion_4_reduction_iff():
     failures = []
     for name, sat in SAT_CASES:
-        truth = _brute_force_assignment(sat)
+        truth = brute_force_assignment(sat)
         out = reduce_sat(sat)
         inst = out.instance
         if any(inst.dist(i) != 3 for i in range(1, inst.m + 1)):
@@ -309,15 +306,6 @@ def test_criterion_7_feasibility_and_safety(random_suite_results):
 # criterion 8: single-agent search optimality against exhaustive enumeration
 
 
-def _random_connected_graph(rng, n):
-    edges = [(rng.randrange(i), i) for i in range(1, n)]
-    for _ in range(n):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.append((min(u, v), max(u, v)))
-    return build_graph(n, edges)
-
-
 def _random_obstacles(rng, graph, walkers, span):
     obstacles = DynamicObstacleSet()
     for wid in range(walkers):
@@ -328,45 +316,23 @@ def _random_obstacles(rng, graph, walkers, span):
     return obstacles
 
 
-def _oracle_min_arrival(graph, agent, obstacles, horizon):
-    reachable = set()
-    if obstacles.vertex_free(agent.start, agent.release):
-        reachable.add(agent.start)
-    for t in range(agent.release, horizon + 1):
-        for v in reachable:
-            for u in graph.adjacency[v]:
-                if u == agent.goal and obstacles.swap_free(v, u, t):
-                    return t + 1
-        nxt = set()
-        if obstacles.vertex_free(agent.start, t + 1):
-            nxt.add(agent.start)
-        for v in reachable:
-            if obstacles.vertex_free(v, t + 1):
-                nxt.add(v)
-            for u in graph.adjacency[v]:
-                if u != agent.goal and obstacles.vertex_free(u, t + 1) and obstacles.swap_free(v, u, t):
-                    nxt.add(u)
-        reachable = nxt
-    return None
-
-
 def test_criterion_8_search_optimality_oracle():
     rng = random.Random(2024)
     failures = []
     checked = 0
     while checked < 50:
-        graph = _random_connected_graph(rng, rng.randint(2, 8))
+        graph = random_connected_graph(rng, rng.randint(2, 8))
         start, goal = rng.randrange(graph.vertex_count), rng.randrange(graph.vertex_count)
         if start == goal:
             continue
         agent = Agent(1, start, goal, rng.randrange(3))
         obstacles = _random_obstacles(rng, graph, rng.randrange(4), rng.randint(4, 14))
-        if obstacles.horizon > 20:
+        horizon = reservation_horizon(obstacles)
+        if horizon > 20:
             continue
         path = plan_min_arrival(graph, agent, obstacles)
-        expected = _oracle_min_arrival(
-            graph, agent, obstacles, obstacles.horizon + graph.vertex_count + agent.release + 1
-        )
+        expected = min_arrival_oracle(graph, agent, obstacles, agent.release,
+                                      horizon + graph.vertex_count + agent.release + 1)
         if path.arrival_time != expected:
             failures.append((checked, path.arrival_time, expected))
         checked += 1

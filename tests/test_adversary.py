@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from onmapf import (
@@ -26,14 +24,7 @@ from onmapf import (
 from onmapf.adversary import RandomSpec, dump_dimacs
 from onmapf.errors import DisconnectedWorld, EmptyWorld
 
-
-def brute_force_assignment(sat):
-    """Independent satisfiability oracle over all truth assignments."""
-    for bits in itertools.product([False, True], repeat=sat.variable_count):
-        assignment = {i + 1: b for i, b in enumerate(bits)}
-        if satisfies(sat, assignment):
-            return assignment
-    return None
+from references import brute_force_assignment
 
 
 # ---------------------------------------------------------------------------

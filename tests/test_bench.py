@@ -127,6 +127,16 @@ def test_sweep_values_and_monotone_check(capsys):
     assert "monotone-ratio-check: ok" in out
 
 
+def test_sweep_monotone_check_ignores_the_m_list_order(capsys):
+    # Rows keep the --m-list order; the check compares the distinct m >= 4
+    # in increasing order, so a descending or repeated list passes too.
+    for m_list in ("8,6", "6,6"):
+        assert main(["sweep", "--m-list", m_list]) == 0, m_list
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:-1]] == m_list.split(",")
+        assert lines[-1] == "monotone-ratio-check: ok"
+
+
 def test_sweep_without_family_writes_to_out(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--m-list", "2,4", "--out", str(out_dir)]) == 0
@@ -266,6 +276,18 @@ def test_solve_budget_exhaustion_is_validation_failure(capsys):
                "--mode", "new", "--objective", "flowtime", "--node-budget", "2"])
     assert rc == 1
     assert "validation failure" in capsys.readouterr().err
+
+
+def test_node_budget_below_one_is_a_config_error(capsys):
+    for argv in (["solve", "--family", "line", "--m", "4", "--policy", "opt-rational"],
+                 ["ratio", "--family", "line", "--m", "4", "--policy", "opt-rational"],
+                 ["sweep", "--m-list", "4", "--policies", "opt-rational:all:makespan"]):
+        for budget in ("-5", "0"):
+            assert main(argv + ["--node-budget", budget]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            message = f"--node-budget must be a positive pop count, got {budget}"
+            assert captured.err == f"error: {message}\n"
 
 
 def test_custom_irrational_replays_the_optimum(capsys):

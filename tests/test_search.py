@@ -11,7 +11,6 @@ from onmapf import (
     JointTask,
     OnlineInstance,
     Path,
-    SearchLimits,
     build_grid,
     build_obstacles,
     detect_conflicts,
@@ -26,10 +25,12 @@ from onmapf import (
 )
 from onmapf.world import build_graph
 
+from references import min_arrival_oracle, random_connected_graph, reservation_horizon
+
 
 def test_build_obstacles_empty_plan():
     obs = build_obstacles({})
-    assert obs.vertex_reservations == {} and obs.edge_reservations == {} and obs.horizon == 0
+    assert obs.vertex_reservations == {} and obs.edge_reservations == {}
 
 
 def test_build_obstacles_counts_for_straight_path():
@@ -38,7 +39,6 @@ def test_build_obstacles_counts_for_straight_path():
     obs = build_obstacles({1: path})
     assert len(obs.vertex_reservations) == d  # times 0..d-1
     assert len(obs.edge_reservations) == d  # includes the final move
-    assert obs.horizon == d
 
 
 def test_build_obstacles_line_after_first_agent():
@@ -57,7 +57,7 @@ def test_min_arrival_without_obstacles():
     path = plan_min_arrival(inst.graph, Agent(first.id, first.start, first.goal, 3))
     assert path.start_time == 3
     assert path.arrival_time == 3 + 4
-    assert path.wait_count() == 0
+    assert all(u != v for u, v in zip(path.vertices, path.vertices[1:]))  # no waits
 
 
 def test_min_arrival_2x2_second_agent_starts_at_two():
@@ -99,15 +99,6 @@ def test_min_arrival_line_second_agent_arrives_at_2m():
         assert path == literal
 
 
-def random_connected_graph(rng, n):
-    edges = [(rng.randrange(i), i) for i in range(1, n)]
-    for _ in range(n):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.append((min(u, v), max(u, v)))
-    return build_graph(n, edges)
-
-
 def random_walk_paths(rng, graph, walkers, horizon):
     """Random timed walks standing in for committed agents."""
     paths = {}
@@ -127,34 +118,6 @@ def random_obstacles(rng, graph, walkers, horizon):
     return obs
 
 
-def min_arrival_oracle(graph, agent, obs, earliest, horizon):
-    """Layered reachability: the set of legal states per time step."""
-    goal = agent.goal
-    reachable = set()
-    if obs.vertex_free(agent.start, earliest):
-        reachable.add(agent.start)
-    for t in range(earliest, horizon + 1):
-        arrivals = {
-            u
-            for v in reachable
-            for u in graph.adjacency[v]
-            if u == goal and obs.swap_free(v, u, t)
-        }
-        if arrivals:
-            return t + 1
-        nxt = set()
-        if obs.vertex_free(agent.start, t + 1):
-            nxt.add(agent.start)  # fresh entry
-        for v in reachable:
-            if obs.vertex_free(v, t + 1):
-                nxt.add(v)
-            for u in graph.adjacency[v]:
-                if u != goal and obs.vertex_free(u, t + 1) and obs.swap_free(v, u, t):
-                    nxt.add(u)
-        reachable = nxt
-    return None
-
-
 def test_min_arrival_matches_enumeration_oracle():
     rng = random.Random(42)
     checked = 0
@@ -167,7 +130,7 @@ def test_min_arrival_matches_enumeration_oracle():
         agent = Agent(1, s, t, rng.randrange(3))
         obs = random_obstacles(rng, g, rng.randrange(3), rng.randint(4, 12))
         path = plan_min_arrival(g, agent, obs)
-        horizon = obs.horizon + g.vertex_count + agent.release + 1
+        horizon = reservation_horizon(obs) + g.vertex_count + agent.release + 1
         assert path.arrival_time == min_arrival_oracle(g, agent, obs, agent.release, horizon)
         checked += 1
 
@@ -195,14 +158,14 @@ def test_min_arrival_completeness_under_heavy_reservations():
     for trial in range(10):
         obs = random_obstacles(rng, g, 6, 15)
         agent = Agent(1, 0, g.vertex_count - 1, 0)
-        path = plan_min_arrival(g, agent, obs)  # default horizon always admits one
+        path = plan_min_arrival(g, agent, obs)  # a plan always exists
         assert path.vertices[0] == agent.start and path.vertices[-1] == agent.goal
 
 
 def test_min_arrival_budget_error():
     inst = gen_line(4)
     with pytest.raises(BudgetExhausted):
-        plan_min_arrival(inst.graph, inst.agent(1), limits=SearchLimits(node_budget=1))
+        plan_min_arrival(inst.graph, inst.agent(1), node_budget=1)
 
 
 def test_offline_single_agent_matches_min_arrival():
@@ -549,9 +512,9 @@ def test_all_mode_pop_budget_boundary(objective, budget):
     # The budget counts heap pops, so these boundaries pin the joint search's
     # pop count: a faster expansion loop must not move them.
     policy = opt_rational("all", objective)
-    run(InstanceSource(gen_line(6)), policy, SearchLimits(node_budget=budget))
+    run(InstanceSource(gen_line(6)), policy, node_budget=budget)
     with pytest.raises(BudgetExhausted, match=f"exceeded {budget - 1} pops"):
-        run(InstanceSource(gen_line(6)), policy, SearchLimits(node_budget=budget - 1))
+        run(InstanceSource(gen_line(6)), policy, node_budget=budget - 1)
 
 
 def test_all_mode_makespan_plan_on_line_m4():

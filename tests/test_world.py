@@ -15,6 +15,8 @@ from onmapf import (
 )
 from onmapf.world import dump_graph, dump_map, load_graph, load_map
 
+from references import random_connected_graph
+
 
 def test_strip_grid_is_a_path_graph():
     m = 4
@@ -88,15 +90,6 @@ def test_shortest_dist_around_blocked_center():
     corner, opposite = 0, g.vertex_count - 1
     assert brute_force_dist(g, corner, opposite, 6) == 4
     assert shortest_dist(g, corner, opposite) == 4
-
-
-def random_connected_graph(rng, n):
-    edges = [(rng.randrange(i), i) for i in range(1, n)]  # random spanning tree
-    for _ in range(n):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.append((min(u, v), max(u, v)))
-    return build_graph(n, edges)
 
 
 def test_distance_symmetry_and_triangle_inequality():
