@@ -236,6 +236,8 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         m_list.append(m)
         forms[m] = adversary.line_closed_forms(m)
     policies = [_parse_policy_descriptor(tok) for tok in args.policies.split(",") if tok]
+    if not m_list:
+        raise ConfigError("--m-list names no m")
     rows = []
     monotone_ok = True
     for policy in policies:

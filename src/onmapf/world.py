@@ -2,11 +2,14 @@
 
 Graphs are immutable after construction and connectivity is verified up front,
 so shortest-path queries never fail. Distance maps are computed per source on
-demand and cached on the graph.
+demand and cached on the graph, each as a read-only ``array`` of the smallest
+unsigned type that holds its farthest distance: one byte per vertex on any
+graph of diameter below 256, against an 8-byte slot in a ``list``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import DisconnectedWorld, EmptyWorld, InvalidEdge, ParseError
@@ -21,22 +24,29 @@ class Graph:
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. Instances are
     read-only after construction; the distance cache is the only mutable state
-    and is fill-once per source.
+    and is fill-once per source. Its maps are compact unsigned arrays, shared
+    by every caller, which only index them.
     """
 
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
     _dist_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def dist_from(self, source: int) -> list[int]:
-        """BFS distance map from ``source``, memoized."""
+    def dist_from(self, source: int) -> array:
+        """BFS distance map from ``source``, memoized: ``dist_from(s)[v]`` is
+        the distance from ``s`` to ``v``.
+
+        The map is an ``array`` of typecode ``'B'``, ``'H'`` or ``'L'``, the
+        smallest that holds the farthest distance. It is shared, so callers
+        must not modify it.
+        """
         cached = self._dist_cache.get(source)
         if cached is None:
             cached = self._bfs(source)
             self._dist_cache[source] = cached
         return cached
 
-    def _bfs(self, source: int) -> list[int]:
+    def _bfs(self, source: int) -> array:
         adjacency = self.adjacency
         dist = [-1] * self.vertex_count
         dist[source] = 0
@@ -47,7 +57,12 @@ class Graph:
                 if dist[u] < 0:
                     dist[u] = next_dist
                     order.append(u)
-        return dist
+        if len(order) < self.vertex_count:
+            raise DisconnectedWorld("graph is not connected")
+        farthest = dist[order[-1]]  # BFS labels vertices in order of distance
+        if farthest < 256:
+            return array("B", bytes(dist))
+        return array("H" if farthest < 65536 else "L", dist)
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
@@ -74,9 +89,7 @@ def build_graph(vertex_count: int, edges) -> Graph:
         neighbor_sets[v].add(u)
     adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
     graph = Graph(vertex_count, adjacency)
-    reach = graph.dist_from(0)
-    if any(d < 0 for d in reach):
-        raise DisconnectedWorld("graph is not connected")
+    graph.dist_from(0)  # raises DisconnectedWorld unless every vertex is reached
     return graph
 
 

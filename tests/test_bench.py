@@ -175,6 +175,16 @@ def test_sweep_checks_every_m_before_running(capsys):
             assert captured.err == f"error: {message}\n"
 
 
+def test_sweep_rejects_an_m_list_naming_no_m(capsys):
+    # with no m to run, the monotone-ratio check would pass over nothing
+    for m_list in ("", ","):
+        for policies in ("", "sequence"):
+            assert main(["sweep", "--m-list", m_list, "--policies", policies]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --m-list names no m\n"
+
+
 def test_reduce_sat_roundtrip(tmp_path, capsys):
     cnf = write(tmp_path, "sat2.cnf", CNF_SAT2)
     out_dir = tmp_path / "red"
@@ -210,7 +220,11 @@ def test_validate_exit_codes(tmp_path, capsys):
 
     split_map = write(tmp_path, "split.map", "height 1\nwidth 3\nmap\n.@.\n")
     assert main(["validate", "--map", split_map]) == 1  # parses, but disconnected
-    assert "validation failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == "validation failure: unblocked cells are not connected\n"
+
+    split_graph = write(tmp_path, "split.graph", "vertices 4\n0 1\n2 3\n")
+    assert main(["validate", "--graph", split_graph]) == 1
+    assert capsys.readouterr().err == "validation failure: graph is not connected\n"
 
 
 def test_config_errors(capsys):

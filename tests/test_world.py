@@ -6,10 +6,15 @@ from onmapf import (
     DisconnectedWorld,
     EmptyWorld,
     GridMap,
+    InstanceSource,
     InvalidEdge,
     ParseError,
+    RandomSpec,
     build_graph,
     build_grid,
+    gen_random,
+    opt_rational,
+    run,
     shortest_dist,
     shortest_path_lex,
 )
@@ -43,7 +48,7 @@ def test_single_cell_grid():
 
 def test_disconnected_grid_rejected():
     # a full column of blocks splits a 3x3 grid
-    with pytest.raises(DisconnectedWorld):
+    with pytest.raises(DisconnectedWorld, match="^unblocked cells are not connected$"):
         build_grid(3, 3, {(0, 1), (1, 1), (2, 1)})
 
 
@@ -62,7 +67,7 @@ def test_build_graph_rejects_self_loop_and_range():
         build_graph(2, [(0, 0)])
     with pytest.raises(InvalidEdge):
         build_graph(2, [(0, 5)])
-    with pytest.raises(DisconnectedWorld):
+    with pytest.raises(DisconnectedWorld, match="^graph is not connected$"):
         build_graph(3, [(0, 1)])
 
 
@@ -124,7 +129,7 @@ def reference_bfs(graph, source):
     steps = 0
     while layer:
         steps += 1
-        layer = {u for v in layer for u in graph.adjacency[v]} - dist.keys()
+        layer = {u for v in layer for u in graph.adjacency[v] if u not in dist}
         for u in layer:
             dist[u] = steps
     return [dist.get(v, -1) for v in range(graph.vertex_count)]
@@ -142,7 +147,27 @@ def test_dist_from_matches_reference_bfs():
             continue
     for g in graphs:
         for source in range(g.vertex_count):
-            assert g.dist_from(source) == reference_bfs(g, source)
+            assert list(g.dist_from(source)) == reference_bfs(g, source)
+
+
+@pytest.mark.parametrize("farthest, typecode", [(255, "B"), (256, "H"), (65_535, "H"),
+                                                (65_536, "L")])
+def test_dist_map_takes_the_smallest_unsigned_type(farthest, typecode):
+    # a path graph whose far end is `farthest` steps from vertex 0
+    g = build_graph(farthest + 1, [(v, v + 1) for v in range(farthest)])
+    dist = g.dist_from(0)
+    assert dist.typecode == typecode
+    assert list(dist) == reference_bfs(g, 0)
+
+
+def test_grid_run_keeps_one_byte_maps():
+    # a 32x32 grid has diameter well below 256, so every map the planners
+    # cache during a run is one byte per vertex
+    inst = gen_random(RandomSpec(32, 32, 0.1, 200, 400, seed=3))
+    run(InstanceSource(inst), opt_rational("new-single", "flowtime"))
+    cache = inst.graph._dist_cache
+    assert len(cache) > 100
+    assert all(dist.itemsize == 1 for dist in cache.values())
 
 
 def test_open_grid_distance_is_manhattan():
