@@ -48,7 +48,6 @@ from .errors import (
     EmptyWorld,
     InvalidEdge,
     MalformedSat,
-    NonIntegerResult,
     NotMakespanThree,
     OddM,
     OnlineMapfError,

@@ -17,7 +17,6 @@ from .core import Agent, OnlineInstance, Plan
 from .errors import (
     EmptyWorld,
     MalformedSat,
-    NonIntegerResult,
     NotMakespanThree,
     OddM,
     ParseError,
@@ -65,17 +64,11 @@ def line_closed_forms(m: int) -> LineCosts:
     if m < 2 or m % 2 != 0:
         raise OddM(f"line family needs an even m >= 2, got {m}")
     return LineCosts(
-        rational_flow=_exact_div(m**3 + m, 2),
+        rational_flow=(m**3 + m) // 2,
         rational_make=m * m,
-        opt_flow=_exact_div(15 * m * m - 10 * m, 8),
-        opt_make=_exact_div(7 * m - 6, 2),
+        opt_flow=(15 * m * m - 10 * m) // 8,  # 20k(3k - 1) for m = 2k: 8 divides it
+        opt_make=(7 * m - 6) // 2,
     )
-
-
-def _exact_div(numerator: int, denominator: int) -> int:
-    if numerator % denominator:
-        raise NonIntegerResult(f"{numerator}/{denominator} is not an integer")
-    return numerator // denominator
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +136,7 @@ class SatInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        occurrences = {v: [0, 0] for v in range(1, self.variable_count + 1)}
+        occurrences = {}  # only the variables that occur, not one per declared variable
         for idx, clause in enumerate(self.clauses, start=1):
             if not 1 <= len(clause) <= 3:
                 raise MalformedSat(f"clause {idx} must have 1..3 literals")
@@ -155,8 +148,12 @@ class SatInstance:
                 if var in seen:
                     raise MalformedSat(f"clause {idx}: variable {var} appears twice")
                 seen.add(var)
-                occurrences[var][0 if lit > 0 else 1] += 1
-        for var, (pos, neg) in occurrences.items():
+                occurrences.setdefault(var, [0, 0])[0 if lit > 0 else 1] += 1
+        # The first variable that does not occur is at most one past the
+        # number that do, so the scan stops there and still meets the first
+        # bad variable.
+        for var in range(1, min(self.variable_count, len(occurrences) + 1) + 1):
+            pos, neg = occurrences.get(var, (0, 0))
             if pos + neg != 3:
                 raise MalformedSat(f"variable {var} occurs {pos + neg} times, needs exactly 3")
             if pos == 0 or neg == 0:

@@ -24,7 +24,6 @@ from .errors import (
     EmptyWorld,
     InvalidEdge,
     MalformedSat,
-    NonIntegerResult,
     OddM,
     ParseError,
 )
@@ -402,7 +401,7 @@ def main(argv=None) -> int:
             cmd_reduce(args.cnf, args.out)
         else:
             cmd_validate(args)
-    except (ParseError, MalformedSat, OddM, NonIntegerResult, ConfigError, ValueError) as exc:
+    except (ParseError, MalformedSat, OddM, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationFailure, DisconnectedWorld, EmptyWorld, InvalidEdge, BudgetExhausted) as exc:

@@ -49,7 +49,3 @@ class ParseError(OnlineMapfError):
         self.line = line
         where = source if line is None else f"{source}:{line}"
         super().__init__(f"{where}: {message}")
-
-
-class NonIntegerResult(OnlineMapfError):
-    """A closed-form cost formula evaluated to a non-integer, indicating a bad input."""

@@ -12,9 +12,14 @@ The search starts from one root, the configuration at the start time t0:
 agents already in the graph at their current vertex, every other agent off
 it. An agent released by t0 whose entry vertex is free at t0 chooses in an
 entry layer before the first time step: in id order, each such agent takes
-one operator-decomposition step, entering at t0 or keeping waiting. So k such
-agents cost states reached in cost order, not 2^k roots built before the
-first pop.
+one operator-decomposition step, entering at t0 or keeping waiting, the same
+two options any pending agent has in a later layer. So k such agents cost
+states reached in cost order, not 2^k roots built before the first pop.
+
+A state keeps only what cannot be derived: its two cost bounds, its depth,
+its history, its configuration and its pending swap moves. The time and the
+agent to move follow from the depth, and one option generator serves the
+entry layer and every later layer alike.
 
 The search is exact and fully deterministic. It breaks ties by the secondary
 objective (makespan under flowtime and vice versa), then toward the deeper
@@ -128,42 +133,42 @@ def joint_plan(
     the graph may wait forever and only the node budget ends the search; the
     heap empties only when every state is a dead end.
 
-    One A* pass per objective, ordered (flowtime, makespan, -depth, history)
-    or (makespan, flowtime, -depth, history), where depth is the number of
-    tokens in the history: on a plateau of equal cost the deeper state pops
-    first. The history is an integer in base |V| + 2 with one digit, token +
-    2, per token (DONE 0, PENDING 1, vertex v v + 2). Histories are compared
-    only at equal depth, that is at equal length, where numeric order is the
+    One A* pass per objective over heap entries (f1, f2, -depth, history,
+    configuration, swaps). (f1, f2) is (flowtime, makespan) under flowtime,
+    (makespan, flowtime) under makespan. Depth counts the history's tokens:
+    each layer, from t0 - 1 on, moves the agents in id order, one token each,
+    so divmod(depth, n) is (t - (t0 - 1), j), j the agent to move. Swaps are
+    this layer's moves into vertices that agents still to move hold (a move
+    u->v forbids v->u to the agent at v), filtered when a state is pushed.
+
+    On a plateau of equal cost the deeper state pops first. The history is
+    an integer in base |V| + 2 with one digit, token + 2, per token (DONE 0,
+    PENDING 1, vertex v v + 2); at equal depth its numeric order is the
     lexicographic order of the token sequences. A state is closed on a key
     that fixes the cost of every completion, so the first path to reach it
     dominates later ones and the first plan popped is the minimum of that
-    order. The key is the time, the next agent to move and the configuration,
-    plus:
+    order. The key is the depth, the configuration and the swaps, plus, under
+    makespan, the makespan lower bound (realized arrivals and arrival
+    floors): paths that agree on it get the same makespan in every
+    completion, so less flowtime, then the smaller history, wins. Paths that
+    share a key share their depth, so the depth term changes only which of
+    the equal-cost plans is popped first, never its cost.
 
-    * the moves already made in this layer into vertices that agents still to
-      move hold, since a move u->v forbids v->u to the agent at v (each state
-      carries these moves already filtered when it is pushed, so the key reads
-      them as they are and the swap test scans only them);
-    * under makespan, the state's makespan lower bound (realized arrivals and
-      arrival floors): paths that agree on it get the same makespan in every
-      completion, so less flowtime, then the smaller history, wins.
+    The flowtime lower bound is the steps accrued so far plus, per agent,
+    rho, the fewest steps it still accrues. Agent j's move takes its old rho
+    out, adds the step it accrues in this layer (if released) and puts the
+    rho of its new token in.
 
-    Each state carries one flowtime lower bound: the steps accrued so far
-    plus, per agent, rho, the fewest steps it still accrues. Agent j's move
-    takes its old rho out, adds the step it accrues in this layer (if
-    released) and puts the rho of its new token in.
-
-    The layers run from t0 - 1 on. The entry layer at t0 - 1 moves only the
-    agents that may still enter at t0: each keeps waiting or enters at t0 if
-    no agent holds its entry vertex, and no cost accrues in it. Until an agent
-    has chosen, its bounds are those of entering, the cheaper choice, so f
-    stays admissible. The entry layer leaves the n tokens of the
-    configuration at t0 at the head of every history, as a root would.
-
-    The time and the next agent fix the depth, (t - (t0 - 1)) * n + j tokens
-    of history, so paths that share a key share their depth too. Among them
-    the order is still (cost, history), and the depth term changes only which
-    of the equal-cost plans is popped first, never its cost.
+    The entry layer at t0 - 1 moves only the choosers, the agents that may
+    still enter at t0; no cost accrues in it, and until a chooser has chosen
+    its bounds are those of entering, the cheaper choice. A chooser is
+    released by t0, no frozen walk holds its entry at t0, and no agent after
+    it does (current agents are excluded, later choosers are still pending),
+    so its options are those of a pending agent in any layer: keep waiting,
+    or enter unless an agent before it holds the entry. Only the child
+    differs: it goes to the next chooser's turn, or to the layer at t0 after
+    the last one, and its history is the configuration at t0 of the agents
+    before that turn, as a root would start it.
     """
     if objective not in ("flowtime", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -214,22 +219,19 @@ def joint_plan(
 
     base = graph.vertex_count + 2  # histories: one digit, token + 2, per token
 
-    def entry_layer_state(f1, f2, pos, flow, m, nj):
+    def entry_layer_state(f1, f2, pos, nj):
         """Heap entry of a state after the entry-layer choices of agents < nj:
         chooser nj's turn, or the movement layer at t0 once nj == n. Its
-        history is the t0 tokens of agents < nj."""
+        history is the t0 tokens of agents < nj, so its depth is nj."""
         hist = 0
         for token in pos[:nj]:
             hist = hist * base + token + 2
-        if nj < n:
-            return (f1, f2, -nj, hist, t0 - 1, nj, pos, flow, m, ())
-        return (f1, f2, -n, hist, t0, 0, pos, flow, m, ())
+        return (f1, f2, -nj, hist, pos, ())
 
-    # Entries lead with (f1, f2, -depth, history): on a cost plateau the
-    # deeper state pops first. No two entries share a history, so that prefix
-    # orders them totally and fixes the pop order.
+    # No two entries share a history, so (f1, f2, -depth, history) orders
+    # them totally and fixes the pop order.
     f1, f2 = (flow, make_lb) if flow_primary else (make_lb, flow)
-    heap = [entry_layer_state(f1, f2, tuple(root), flow, make_lb, next_chooser[-1])]
+    heap = [entry_layer_state(f1, f2, tuple(root), next_chooser[-1])]
 
     edge_res = frozen.edge_reservations
     adjacency = graph.adjacency
@@ -238,34 +240,21 @@ def joint_plan(
     closed = set()
     pops = 0
     while heap:
-        f1, f2, neg_depth, hist, t, j, pos, flow, make_lb, swaps = heappop(heap)
+        f1, f2, neg_depth, hist, pos, swaps = heappop(heap)
         pops += 1
         if pops > node_budget:
             raise BudgetExhausted(f"joint search exceeded {node_budget} pops")
+        depth = -neg_depth
         if pos == finished:
-            return _reconstruct(hist, -neg_depth, base, tasks, t0)
-        # ``swaps``: the moves made earlier in this layer into vertices that
-        # agents j.. still hold (a move u->v forbids v->u to the agent at v),
-        # filtered when the state was pushed.
-        key = (t, j, pos, swaps) if flow_primary else (t, j, pos, swaps, make_lb)
+            return _reconstruct(hist, depth, base, tasks, t0)
+        key = (depth, pos, swaps) if flow_primary else (depth, pos, swaps, f1)
         if key in closed:
             continue
         closed.add(key)
-        if t < t0:
-            # Entry layer: agent j, released by t0, keeps waiting off the
-            # graph or enters at t0 if no agent holds its entry vertex. No
-            # cost accrues before t0.
-            s, d = entries[j], entry_dist[j]
-            options = [(PENDING, 1 + d, t0 + 1 + d)]
-            if s not in pos:
-                options.append((s, d, t0 + d))
-            for new_token, rho_new, floor in options:
-                flow2 = flow - d + rho_new
-                m2 = floor if floor > make_lb else make_lb
-                nf1, nf2 = (flow2, m2) if flow_primary else (m2, flow2)
-                new_pos = pos[:j] + (new_token,) + pos[j + 1:]
-                heappush(heap, entry_layer_state(nf1, nf2, new_pos, flow2, m2, next_chooser[j]))
-            continue
+        flow, make_lb = (f1, f2) if flow_primary else (f2, f1)
+        t, j = divmod(depth, n)
+        t += t0 - 1
+        entering = t < t0  # the entry layer: j is a chooser
         nt = t + 1
         token = pos[j]
         before, after = pos[:j], pos[j + 1:]  # tokens are negative, never a vertex
@@ -303,22 +292,19 @@ def joint_plan(
                 elif u not in before and (u, nt) not in vertex_res:
                     options.append((u, (v, u), dist[u], nt + dist[u]))
 
-        last = j + 1 == n
         deeper = neg_depth - 1
         shifted = hist * base + 2  # the child's history less its token
-        kept = tuple(mv for mv in swaps if mv[1] in after) if swaps and not last else ()
+        kept = tuple(mv for mv in swaps if mv[1] in after) if swaps else ()
         for new_token, edge, rho_new, floor in options:
             flow2 = rest + rho_new
             m2 = floor if floor > make_lb else make_lb
             nf1, nf2 = (flow2, m2) if flow_primary else (m2, flow2)
             new_pos = before + (new_token,) + after
-            if last:
-                entry = (nf1, nf2, deeper, shifted + new_token, nt, 0, new_pos, flow2, m2, ())
+            if entering:
+                heappush(heap, entry_layer_state(nf1, nf2, new_pos, next_chooser[j]))
             else:
                 moves = kept + (edge,) if edge and edge[1] in after else kept
-                entry = (nf1, nf2, deeper, shifted + new_token, t, j + 1, new_pos, flow2, m2,
-                         moves)
-            heappush(heap, entry)
+                heappush(heap, (nf1, nf2, deeper, shifted + new_token, new_pos, moves))
 
     raise BudgetExhausted("joint search found no conflict-free plan")
 

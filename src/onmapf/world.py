@@ -72,19 +72,24 @@ class Graph:
 
 
 def build_graph(vertex_count: int, edges) -> Graph:
-    """Build a connected undirected graph from an edge list.
+    """Build a connected undirected graph from an edge list (read twice).
 
     Raises InvalidEdge for self-loops or out-of-range endpoints and
     DisconnectedWorld if the vertices do not form one component.
     """
     if vertex_count <= 0:
         raise EmptyWorld("graph needs at least one vertex")
-    neighbor_sets = [set() for _ in range(vertex_count)]
     for u, v in edges:
         if u == v:
             raise InvalidEdge(f"self-loop at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise InvalidEdge(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
+    # One component needs vertex_count - 1 edges: a size header alone must not
+    # allocate a set per declared vertex.
+    if vertex_count > len(edges) + 1:
+        raise DisconnectedWorld("graph is not connected")
+    neighbor_sets = [set() for _ in range(vertex_count)]
+    for u, v in edges:
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
     adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from onmapf import (
@@ -122,6 +124,21 @@ def test_sat_instance_validation():
         SatInstance(1, ((1, 1, 1, 1),))  # oversized clause
     with pytest.raises(MalformedSat):
         SatInstance(1, ((1,), (1,), (-2,)))  # literal out of range
+
+
+def test_sat_header_count_allocates_nothing_per_declared_variable():
+    # A million declared variables, one or three literals: the check counts
+    # only the variables that occur and still names the first bad one.
+    tracemalloc.start()
+    try:
+        for text, message in (("p cnf 1000000 1\n1 0\n", "variable 1 occurs 1 times"),
+                              ("p cnf 1000000 3\n1 0\n1 0\n-1 0\n", "variable 2 occurs 0 times")):
+            with pytest.raises(MalformedSat, match=f"^{message}, needs exactly 3$"):
+                parse_dimacs(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_parse_dimacs_roundtrip_and_errors():

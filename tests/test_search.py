@@ -11,6 +11,7 @@ from onmapf import (
     JointTask,
     OnlineInstance,
     Path,
+    SatInstance,
     build_grid,
     build_obstacles,
     detect_conflicts,
@@ -20,6 +21,7 @@ from onmapf import (
     offline_optimal,
     opt_rational,
     plan_min_arrival,
+    reduce_sat,
     run,
     validate_path,
 )
@@ -515,6 +517,33 @@ def test_all_mode_pop_budget_boundary(objective, budget):
     run(InstanceSource(gen_line(6)), policy, node_budget=budget)
     with pytest.raises(BudgetExhausted, match=f"exceeded {budget - 1} pops"):
         run(InstanceSource(gen_line(6)), policy, node_budget=budget - 1)
+
+
+def _entry_layer_instance(name):
+    if name == "n3-unsat":
+        # The unsatisfiable 3-variable gadget: its 12 agents, all released at
+        # 0 on distinct entries, are all choosers.
+        sat = SatInstance(3, ((1, 2), (-1, -2), (1, 3), (2,), (-3,), (-3,)))
+        inst = reduce_sat(sat).instance
+        return inst.graph, inst.agents, None
+    # On the 1 x 5 line agents 1 and 4 choose; the frozen walk holds agent
+    # 2's entry at t0, and agent 3 is released later, so the entry layer
+    # skips both.
+    agents = [Agent(1, 0, 4, 0), Agent(2, 4, 0, 0), Agent(3, 2, 0, 1), Agent(4, 1, 3, 0)]
+    return build_grid(1, 5), agents, build_obstacles({9: Path(0, (4, 3))})
+
+
+@pytest.mark.parametrize("name, objective, budget", [
+    ("n3-unsat", "flowtime", 689), ("n3-unsat", "makespan", 689),
+    ("held-entry", "flowtime", 411), ("held-entry", "makespan", 1_549),
+])
+def test_entry_layer_pop_budget_boundary(name, objective, budget):
+    # Offline solves whose first pops are entry-layer choices: these
+    # boundaries pin the pop count outside all mode.
+    graph, agents, frozen = _entry_layer_instance(name)
+    offline_optimal(graph, agents, frozen, objective, node_budget=budget)
+    with pytest.raises(BudgetExhausted, match=f"exceeded {budget - 1} pops"):
+        offline_optimal(graph, agents, frozen, objective, node_budget=budget - 1)
 
 
 def test_all_mode_makespan_plan_on_line_m4():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,21 @@ def test_build_graph_rejects_self_loop_and_range():
         build_graph(2, [(0, 5)])
     with pytest.raises(DisconnectedWorld, match="^graph is not connected$"):
         build_graph(3, [(0, 1)])
+
+
+def test_graph_size_header_is_checked_before_allocating():
+    # A million declared vertices and one edge cannot be connected, which is
+    # known before a neighbor set is built per declared vertex.
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedWorld, match="^graph is not connected$"):
+            load_graph("vertices 1000000\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    with pytest.raises(InvalidEdge):
+        build_graph(1000000, [(0, 0)])  # a bad edge is still reported first
 
 
 def test_shortest_dist_on_line_and_square():
