@@ -21,6 +21,12 @@ its history, its configuration and its pending swap moves. The time and the
 agent to move follow from the depth, and one option generator serves the
 entry layer and every later layer alike.
 
+Many pops skip the heap. No child's cost bounds fall below its parent's,
+and every state on the heap follows the one being expanded, so the smallest
+child that keeps its parent's bounds is the next pop: it is expanded at
+once, and only its siblings are pushed. The states popped, and their order,
+are those of a search that pops every state from the heap.
+
 The search is exact and fully deterministic. It breaks ties by the secondary
 objective (makespan under flowtime and vice versa), then toward the deeper
 state (more tokens in its history, so across a plateau of equal cost it runs
@@ -45,7 +51,7 @@ from .world import Graph
 
 PENDING = -1  # joint-state token: revealed (or not) but not yet in the graph
 DONE = -2  # joint-state token: arrived and removed
-NODE_BUDGET = 10_000_000  # default cap on heap pops per search call
+NODE_BUDGET = 10_000_000  # default cap on pops per search call, heap or not
 
 
 def plan_min_arrival(
@@ -159,6 +165,19 @@ def joint_plan(
     out, adds the step it accrues in this layer (if released) and puts the
     rho of its new token in.
 
+    The next pop is often taken without the heap, and the pops stay those
+    of a pure heap search. This rests on one invariant: no child's (f1, f2)
+    falls below its parent's. Rho is consistent (one step lowers an agent's
+    rho by at most the step it accrues), and a child's makespan bound is
+    max(its arrival floor, the parent's bound). Every heap entry follows the
+    state just popped, so an entry with that state's (f1, f2) is no deeper
+    than it, while every child is deeper. Hence the child with the parent's
+    (f1, f2) and, among those, the smallest token (the smallest history, as
+    the children differ in that token alone) precedes the whole heap. It is
+    the next pop, counted against the budget like any other, and only its
+    siblings are pushed. Without such a child the next pop comes from the
+    heap, and an empty heap ends the search.
+
     The entry layer at t0 - 1 moves only the choosers, the agents that may
     still enter at t0; no cost accrues in it, and until a chooser has chosen
     its bounds are those of entering, the cheaper choice. A chooser is
@@ -231,26 +250,32 @@ def joint_plan(
     # No two entries share a history, so (f1, f2, -depth, history) orders
     # them totally and fixes the pop order.
     f1, f2 = (flow, make_lb) if flow_primary else (make_lb, flow)
-    heap = [entry_layer_state(f1, f2, tuple(root), next_chooser[-1])]
+    state = entry_layer_state(f1, f2, tuple(root), next_chooser[-1])
 
+    # All-mode replans and offline solves pass empty tables: each probe
+    # below tests the table before building its key.
     edge_res = frozen.edge_reservations
     adjacency = graph.adjacency
     heappush, heappop = heapq.heappush, heapq.heappop
     finished = (DONE,) * n
+    heap = []
     closed = set()
     pops = 0
-    while heap:
-        f1, f2, neg_depth, hist, pos, swaps = heappop(heap)
+    while state is not None or heap:
+        if state is None:  # no child is next: the heap holds the next pop
+            state = heappop(heap)
+        f1, f2, neg_depth, hist, pos, swaps = state
         pops += 1
         if pops > node_budget:
             raise BudgetExhausted(f"joint search exceeded {node_budget} pops")
         depth = -neg_depth
         if pos == finished:
             return _reconstruct(hist, depth, base, tasks, t0)
-        key = (depth, pos, swaps) if flow_primary else (depth, pos, swaps, f1)
-        if key in closed:
+        size = len(closed)
+        closed.add((depth, pos, swaps) if flow_primary else (depth, pos, swaps, f1))
+        if len(closed) == size:  # closed before
+            state = None
             continue
-        closed.add(key)
         flow, make_lb = (f1, f2) if flow_primary else (f2, f1)
         t, j = divmod(depth, n)
         t += t0 - 1
@@ -274,37 +299,54 @@ def joint_plan(
             if releases[j] <= nt:
                 options.append((PENDING, None, 1 + d, nt + 1 + d))
                 s = entries[j]
-                if s not in before and (s, nt) not in vertex_res:
+                if s not in before and not (vertex_res and (s, nt) in vertex_res):
                     options.append((s, None, d, nt + d))
             else:
                 options.append((PENDING, None, d, releases[j] + d))
         else:
             v = token
             rest = flow + 1 - dist[v]  # an agent in the graph is released
-            if v not in before and (v, nt) not in vertex_res:
+            if v not in before and not (vertex_res and (v, nt) in vertex_res):
                 options.append((v, None, dist[v], nt + dist[v]))
             goal = tasks[j].goal
             for u in adjacency[v]:
-                if (u, v, t) in edge_res or swaps and (u, v) in swaps:
+                if edge_res and (u, v, t) in edge_res or swaps and (u, v) in swaps:
                     continue
                 if u == goal:
                     options.append((DONE, (v, u), 0, nt))
-                elif u not in before and (u, nt) not in vertex_res:
+                elif u not in before and not (vertex_res and (u, nt) in vertex_res):
                     options.append((u, (v, u), dist[u], nt + dist[u]))
 
+        # The smallest child with this state's bounds is the next pop (see
+        # the docstring); the others are pushed. A child whose token does not
+        # change shares this state's configuration tuple.
         deeper = neg_depth - 1
         shifted = hist * base + 2  # the child's history less its token
         kept = tuple(mv for mv in swaps if mv[1] in after) if swaps else ()
+        config = None
+        state = None
         for new_token, edge, rho_new, floor in options:
             flow2 = rest + rho_new
             m2 = floor if floor > make_lb else make_lb
             nf1, nf2 = (flow2, m2) if flow_primary else (m2, flow2)
-            new_pos = before + (new_token,) + after
+            if new_token == token:
+                new_pos = pos
+            else:
+                if config is None:
+                    config = list(pos)
+                config[j] = new_token
+                new_pos = tuple(config)
             if entering:
-                heappush(heap, entry_layer_state(nf1, nf2, new_pos, next_chooser[j]))
+                child = entry_layer_state(nf1, nf2, new_pos, next_chooser[j])
             else:
                 moves = kept + (edge,) if edge and edge[1] in after else kept
-                heappush(heap, (nf1, nf2, deeper, shifted + new_token, new_pos, moves))
+                child = (nf1, nf2, deeper, shifted + new_token, new_pos, moves)
+            if flow2 == flow and m2 == make_lb and (state is None or new_token < next_token):
+                if state is not None:
+                    heappush(heap, state)
+                state, next_token = child, new_token
+            else:
+                heappush(heap, child)
 
     raise BudgetExhausted("joint search found no conflict-free plan")
 

@@ -11,12 +11,14 @@ from onmapf import (
     JointTask,
     OnlineInstance,
     Path,
+    RandomSpec,
     SatInstance,
     build_grid,
     build_obstacles,
     detect_conflicts,
     evaluate,
     gen_line,
+    gen_random,
     joint_plan,
     offline_optimal,
     opt_rational,
@@ -544,6 +546,64 @@ def test_entry_layer_pop_budget_boundary(name, objective, budget):
     offline_optimal(graph, agents, frozen, objective, node_budget=budget)
     with pytest.raises(BudgetExhausted, match=f"exceeded {budget - 1} pops"):
         offline_optimal(graph, agents, frozen, objective, node_budget=budget - 1)
+
+
+@pytest.mark.parametrize("name, mode, objective, budget", [
+    ("line-8", "new-single", "flowtime", 480), ("line-8", "new-single", "makespan", 480),
+    ("line-8", "new", "flowtime", 480), ("line-8", "new", "makespan", 480),
+    ("grid-8x8", "new", "flowtime", 150), ("grid-8x8", "new", "makespan", 2_212),
+])
+def test_reservation_path_pop_budget_boundary(name, mode, objective, budget):
+    # Searches against the committed paths' reservation table: on the line
+    # each new agent plans against all earlier ones, and on the grid groups
+    # of 3 plan against committed paths. The budget caps each call, so the
+    # boundary pins the run's deepest search.
+    if name == "line-8":
+        instance = gen_line(8)
+    else:
+        instance = gen_random(RandomSpec(8, 8, 0.1, 12, 4, 3))
+    policy = opt_rational(mode, objective)
+    run(InstanceSource(instance), policy, node_budget=budget)
+    with pytest.raises(BudgetExhausted, match=f"exceeded {budget - 1} pops"):
+        run(InstanceSource(instance), policy, node_budget=budget - 1)
+
+
+def _pop_count(solve):
+    """The fewest pops ``solve(node_budget)`` completes in, by bisection."""
+    low, high = 1, 1
+    while True:
+        try:
+            solve(high)
+            break
+        except BudgetExhausted:
+            low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            solve(mid)
+            high = mid
+        except BudgetExhausted:
+            low = mid + 1
+    return low
+
+
+@pytest.mark.parametrize("seed", [0, 2, 9])
+@pytest.mark.parametrize("objective", ["flowtime", "makespan"])
+def test_empty_and_unreached_tables_search_alike(seed, objective):
+    # No frozen table, an empty one, and one whose only walk lies far past
+    # any time these searches reach all admit every move the search tries:
+    # the plans and the pop boundaries agree.
+    inst = gen_random(RandomSpec(5, 5, 0.15, 4, 3, seed))
+    g, agents = inst.graph, inst.agents
+    goal = agents[0].goal
+    unreached = build_obstacles({99: Path(1_000, (goal, g.adjacency[goal][0]))})
+    assert unreached.vertex_reservations and unreached.edge_reservations
+    plan = offline_optimal(g, agents, None, objective)
+    pops = _pop_count(lambda budget: offline_optimal(g, agents, None, objective, budget))
+    for frozen in (DynamicObstacleSet(), unreached):
+        assert offline_optimal(g, agents, frozen, objective, node_budget=pops) == plan
+        with pytest.raises(BudgetExhausted, match=f"exceeded {pops - 1} pops"):
+            offline_optimal(g, agents, frozen, objective, node_budget=pops - 1)
 
 
 def test_all_mode_makespan_plan_on_line_m4():
