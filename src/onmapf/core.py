@@ -154,8 +154,10 @@ class DynamicObstacleSet:
     A path reserves its vertex for every step it actually occupies it, i.e.
     [start, arrival), and the move ``(u, v, t)`` of every non-wait step,
     including the final move into the goal, for its departure step ``t``
-    (the triples ``Path.moves`` yields). Each reservation lists its owners'
-    ids in the order they were added.
+    (the triples ``Path.moves`` yields). Each reserved cell ``(v, t)`` and
+    move maps to its first owner's id. ``shared`` lists every owner, in the
+    order they were added, of each cell or move held twice or more, so a
+    table without collisions keeps one id per key and no owner lists.
 
     The set is a cooperative-A* reservation table: ``online.run`` owns one,
     extends it with ``add_path`` as each path is committed, asks ``admits``
@@ -165,15 +167,30 @@ class DynamicObstacleSet:
     """
 
     def __init__(self):
-        self.vertex_reservations: dict[tuple[int, int], list[int]] = {}
-        self.edge_reservations: dict[tuple[int, int, int], list[int]] = {}
+        self.vertex_reservations: dict[tuple[int, int], int] = {}
+        self.edge_reservations: dict[tuple[int, int, int], int] = {}
+        # cells are pairs and moves triples, so one dict holds both
+        self.shared: dict[tuple[int, ...], list[int]] = {}
 
     def add_path(self, agent_id: int, path: Path) -> None:
-        for offset in range(len(path.vertices) - 1):
-            cell = (path.vertices[offset], path.start_time + offset)
-            self.vertex_reservations.setdefault(cell, []).append(agent_id)
-        for move in path.moves():
-            self.edge_reservations.setdefault(move, []).append(agent_id)
+        cells, moves, shared = self.vertex_reservations, self.edge_reservations, self.shared
+        t = path.start_time
+        steps = iter(path.vertices)
+        u = next(steps)
+        for v in steps:
+            cell = (u, t)
+            if cell in cells:
+                shared.setdefault(cell, [cells[cell]]).append(agent_id)
+            else:
+                cells[cell] = agent_id
+            if u != v:
+                move = (u, v, t)
+                if move in moves:
+                    shared.setdefault(move, [moves[move]]).append(agent_id)
+                else:
+                    moves[move] = agent_id
+            u = v
+            t += 1
 
     def vertex_free(self, v: int, t: int) -> bool:
         return (v, t) not in self.vertex_reservations
@@ -185,10 +202,16 @@ class DynamicObstacleSet:
     def admits(self, path: Path) -> bool:
         """True unless the path occupies a reserved vertex or swaps with a
         reserved move: the one collision check the online loop makes."""
-        for offset, v in enumerate(path.vertices[:-1]):
-            if not self.vertex_free(v, path.start_time + offset):
+        cells, moves = self.vertex_reservations, self.edge_reservations
+        t = path.start_time
+        steps = iter(path.vertices)
+        u = next(steps)
+        for v in steps:
+            if (u, t) in cells or u != v and (v, u, t) in moves:
                 return False
-        return all(self.swap_free(u, v, t) for u, v, t in path.moves())
+            u = v
+            t += 1
+        return True
 
 
 def build_obstacles(plan: Plan) -> DynamicObstacleSet:
@@ -207,22 +230,29 @@ def detect_conflicts(plan: Plan) -> list[Conflict]:
     edge in opposite directions in the same step; final moves count.
 
     The pairs are read from the plan's reservation table, built in id order:
-    every two owners of one cell, and every owner of a move with every owner
-    of its reverse. The cost is linear in the total path length plus the
-    number of conflicts.
+    every two owners of a shared cell, and every owner of a move with every
+    owner of its reverse. The cost is linear in the number of moves plus the
+    number of conflicts: cells are read only where they are shared.
     """
     table = build_obstacles(plan)
+    shared = table.shared
     conflicts = []
-    for (v, t), owners in table.vertex_reservations.items():
-        for a_pos, i in enumerate(owners):
-            for j in owners[a_pos + 1:]:
-                conflicts.append(Conflict("vertex", (i, j), t, v))
+    for key, owners in shared.items():
+        if len(key) == 2:  # a cell
+            v, t = key
+            for a_pos, i in enumerate(owners):
+                for j in owners[a_pos + 1:]:
+                    conflicts.append(Conflict("vertex", (i, j), t, v))
     moves = table.edge_reservations
-    for (u, v, t), owners in moves.items():
-        for j in moves.get((v, u, t), ()):
-            for i in owners:
-                if i < j:
-                    conflicts.append(Conflict("edge", (i, j), t, (u, v)))
+    for move, owner in moves.items():
+        u, v, t = move
+        reverse = (v, u, t)
+        rival = moves.get(reverse)
+        if rival is not None:
+            for j in shared.get(reverse, (rival,)):
+                for i in shared.get(move, (owner,)):
+                    if i < j:
+                        conflicts.append(Conflict("edge", (i, j), t, (u, v)))
     conflicts.sort(key=lambda c: (c.time, c.agents, c.kind, str(c.location)))
     return conflicts
 

@@ -88,10 +88,13 @@ def build_graph(vertex_count: int, edges) -> Graph:
     # allocate a set per declared vertex.
     if vertex_count > len(edges) + 1:
         raise DisconnectedWorld("graph is not connected")
-    neighbor_sets = [set() for _ in range(vertex_count)]
+    # One int object per vertex, shared by every adjacency tuple: parsed
+    # edges hold a fresh int per token.
+    ids = list(range(vertex_count))
+    neighbor_sets = [set() for _ in ids]
     for u, v in edges:
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
+        neighbor_sets[u].add(ids[v])
+        neighbor_sets[v].add(ids[u])
     adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
     graph = Graph(vertex_count, adjacency)
     graph.dist_from(0)  # raises DisconnectedWorld unless every vertex is reached

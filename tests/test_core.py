@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from onmapf import (
     Agent,
+    DynamicObstacleSet,
     InstanceSource,
     OnlineInstance,
     Path,
@@ -16,6 +18,7 @@ from onmapf import (
     gen_line,
     gen_random,
     is_rational_at,
+    opt_rational,
     partition_by_release,
     rationality_bounds,
     run,
@@ -179,6 +182,33 @@ def test_detect_conflicts_matches_pairwise_reference():
             others = build_obstacles({j: p for j, p in plan.items() if j != aid})
             assert others.admits(path) == all(aid not in c.agents for c in found)
     assert seen_kinds == {"vertex", "edge"}
+
+
+def test_shared_reservations_keep_every_owner_in_add_order():
+    table = DynamicObstacleSet()
+    table.add_path(3, Path(0, (0, 1)))
+    table.add_path(1, Path(0, (0, 1)))
+    table.add_path(2, Path(0, (0, 0, 1)))
+    assert table.vertex_reservations == {(0, 0): 3, (0, 1): 2}
+    assert table.edge_reservations == {(0, 1, 0): 3, (0, 1, 1): 2}
+    # three owners of one cell, two of one move; keys held once are not listed
+    assert table.shared == {(0, 0): [3, 1, 2], (0, 1, 0): [3, 1]}
+
+
+def test_reservation_table_size_of_a_200_agent_grid_plan():
+    # The committed plan of a seeded 200-agent new-single run on a 32x32
+    # grid: one owner id per reserved cell and move, and no owner lists.
+    inst = gen_random(RandomSpec(32, 32, 0.1, 200, 400, 1))
+    plan = run(InstanceSource(inst), opt_rational("new-single", "flowtime")).plan
+    tracemalloc.start()
+    try:
+        table = build_obstacles(plan)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table.vertex_reservations) + len(table.edge_reservations) > 8_000
+    assert held < 900_000
+    assert table.shared == {}
 
 
 def test_evaluate_line_sequence_values():

@@ -51,7 +51,7 @@ def test_build_obstacles_line_after_first_agent():
     path = plan_min_arrival(inst.graph, inst.agent(1))
     obs = build_obstacles({1: path})
     for j in range(m):
-        assert obs.vertex_reservations[(j, j)] == [1]
+        assert obs.vertex_reservations[(j, j)] == 1
     assert (m, m) not in obs.vertex_reservations  # arrival vertex unreserved
 
 

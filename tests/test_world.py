@@ -87,6 +87,17 @@ def test_graph_size_header_is_checked_before_allocating():
         build_graph(1000000, [(0, 0)])  # a bad edge is still reported first
 
 
+def test_loaded_graph_shares_one_int_per_vertex():
+    # CPython caches no int above 256, so each parsed token is a fresh
+    # object; every adjacency tuple must hold the same one per vertex.
+    graph = load_graph(dump_graph(build_grid(20, 20)))
+    owner = {}
+    for neighbors in graph.adjacency:
+        for u in neighbors:
+            assert owner.setdefault(u, u) is u
+    assert len(owner) == graph.vertex_count == 400
+
+
 def test_shortest_dist_on_line_and_square():
     m = 7
     line = build_grid(1, m + 1)
