@@ -105,13 +105,6 @@ class Path:
             return self.vertices[t - self.start_time]
         return None
 
-    def moves(self):
-        """Yield (from, to, departure_time) for every non-wait step."""
-        for j in range(len(self.vertices) - 1):
-            u, v = self.vertices[j], self.vertices[j + 1]
-            if u != v:
-                yield u, v, self.start_time + j
-
 
 # A plan is simply a mapping agent id -> Path, possibly partial.
 Plan = dict[int, Path]
@@ -153,8 +146,9 @@ class DynamicObstacleSet:
 
     A path reserves its vertex for every step it actually occupies it, i.e.
     [start, arrival), and the move ``(u, v, t)`` of every non-wait step,
-    including the final move into the goal, for its departure step ``t``
-    (the triples ``Path.moves`` yields). Each reserved cell ``(v, t)`` and
+    including the final move into the goal, for its departure step ``t``:
+    the triple ``(u, v, t)`` of each step from ``u`` at ``t`` to ``v != u``
+    at ``t + 1``. Each reserved cell ``(v, t)`` and
     move maps to its first owner's id. ``shared`` lists every owner, in the
     order they were added, of each cell or move held twice or more, so a
     table without collisions keeps one id per key and no owner lists.
@@ -191,13 +185,6 @@ class DynamicObstacleSet:
                     moves[move] = agent_id
             u = v
             t += 1
-
-    def vertex_free(self, v: int, t: int) -> bool:
-        return (v, t) not in self.vertex_reservations
-
-    def swap_free(self, u: int, v: int, depart: int) -> bool:
-        """True unless some reserved move traverses v->u while we go u->v."""
-        return (v, u, depart) not in self.edge_reservations
 
     def admits(self, path: Path) -> bool:
         """True unless the path occupies a reserved vertex or swaps with a

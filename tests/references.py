@@ -16,35 +16,50 @@ def random_connected_graph(rng, n):
     return build_graph(n, edges)
 
 
-def reservation_horizon(obs):
-    """One past the last reserved step: the latest arrival of a path that
-    reserves anything, or 0 when nothing is reserved."""
-    return 1 + max((t for _, t in obs.vertex_reservations), default=-1)
+def reservations(paths):
+    """The cells ``(v, t)`` the timed paths occupy (arrivals do not) and
+    their moves ``(u, v, t)``, read from each path's vertex list."""
+    occupied, moving = set(), set()
+    for path in paths.values():
+        vertices, start_time = path.vertices, path.start_time
+        for j in range(len(vertices) - 1):
+            occupied.add((vertices[j], start_time + j))
+            if vertices[j] != vertices[j + 1]:
+                moving.add((vertices[j], vertices[j + 1], start_time + j))
+    return occupied, moving
 
 
-def min_arrival_oracle(graph, agent, obs, earliest, horizon):
-    """Layered reachability: the set of legal states per time step."""
+def reservation_horizon(paths):
+    """One past the last occupied step: the latest arrival of a path that
+    occupies anything, or 0 when nothing is occupied."""
+    return 1 + max((t for _, t in reservations(paths)[0]), default=-1)
+
+
+def min_arrival_oracle(graph, agent, paths, earliest, horizon):
+    """Layered reachability against the timed ``paths`` (agent id -> Path):
+    the set of legal states per time step."""
+    occupied, moving = reservations(paths)
     goal = agent.goal
     reachable = set()
-    if obs.vertex_free(agent.start, earliest):
+    if (agent.start, earliest) not in occupied:
         reachable.add(agent.start)
     for t in range(earliest, horizon + 1):
         arrivals = {
             u
             for v in reachable
             for u in graph.adjacency[v]
-            if u == goal and obs.swap_free(v, u, t)
+            if u == goal and (u, v, t) not in moving
         }
         if arrivals:
             return t + 1
         nxt = set()
-        if obs.vertex_free(agent.start, t + 1):
+        if (agent.start, t + 1) not in occupied:
             nxt.add(agent.start)  # fresh entry
         for v in reachable:
-            if obs.vertex_free(v, t + 1):
+            if (v, t + 1) not in occupied:
                 nxt.add(v)
             for u in graph.adjacency[v]:
-                if u != goal and obs.vertex_free(u, t + 1) and obs.swap_free(v, u, t):
+                if u != goal and (u, t + 1) not in occupied and (u, v, t) not in moving:
                     nxt.add(u)
         reachable = nxt
     return None

@@ -17,6 +17,7 @@ from onmapf import (
     InstanceSource,
     RatioReport,
     SatInstance,
+    build_obstacles,
     decode_assignment,
     detect_conflicts,
     evaluate,
@@ -38,7 +39,6 @@ from onmapf import (
 from onmapf.adversary import RandomSpec
 from onmapf.errors import DisconnectedWorld, EmptyWorld
 from onmapf.online import wasteful_policy
-from onmapf.search import DynamicObstacleSet
 from onmapf.core import Path
 
 from references import (
@@ -306,14 +306,14 @@ def test_criterion_7_feasibility_and_safety(random_suite_results):
 # criterion 8: single-agent search optimality against exhaustive enumeration
 
 
-def _random_obstacles(rng, graph, walkers, span):
-    obstacles = DynamicObstacleSet()
+def _random_walks(rng, graph, walkers, span):
+    walks = {}
     for wid in range(walkers):
         vertices = [rng.randrange(graph.vertex_count)]
         for _ in range(rng.randrange(1, span)):
             vertices.append(rng.choice([vertices[-1]] + list(graph.adjacency[vertices[-1]])))
-        obstacles.add_path(1000 + wid, Path(rng.randrange(span), tuple(vertices)))
-    return obstacles
+        walks[1000 + wid] = Path(rng.randrange(span), tuple(vertices))
+    return walks
 
 
 def test_criterion_8_search_optimality_oracle():
@@ -326,11 +326,11 @@ def test_criterion_8_search_optimality_oracle():
         if start == goal:
             continue
         agent = Agent(1, start, goal, rng.randrange(3))
-        obstacles = _random_obstacles(rng, graph, rng.randrange(4), rng.randint(4, 14))
+        obstacles = _random_walks(rng, graph, rng.randrange(4), rng.randint(4, 14))
         horizon = reservation_horizon(obstacles)
         if horizon > 20:
             continue
-        path = plan_min_arrival(graph, agent, obstacles)
+        path = plan_min_arrival(graph, agent, build_obstacles(obstacles))
         expected = min_arrival_oracle(graph, agent, obstacles, agent.release,
                                       horizon + graph.vertex_count + agent.release + 1)
         if path.arrival_time != expected:

@@ -25,8 +25,10 @@ from onmapf import (
     plan_min_arrival,
     reduce_sat,
     run,
+    sequence_policy,
     validate_path,
 )
+from onmapf.online import MODES
 from onmapf.world import build_graph
 
 from references import min_arrival_oracle, random_connected_graph, reservation_horizon
@@ -132,8 +134,8 @@ def test_min_arrival_matches_enumeration_oracle():
         if s == t:
             continue
         agent = Agent(1, s, t, rng.randrange(3))
-        obs = random_obstacles(rng, g, rng.randrange(3), rng.randint(4, 12))
-        path = plan_min_arrival(g, agent, obs)
+        obs = random_walk_paths(rng, g, rng.randrange(3), rng.randint(4, 12))
+        path = plan_min_arrival(g, agent, build_obstacles(obs))
         horizon = reservation_horizon(obs) + g.vertex_count + agent.release + 1
         assert path.arrival_time == min_arrival_oracle(g, agent, obs, agent.release, horizon)
         checked += 1
@@ -362,7 +364,8 @@ def _random_joint_case(rng):
     walks = random_walk_paths(rng, g, rng.randrange(3), 6) if rng.random() < 0.6 else {}
     vertex_res = {(v, p.start_time + i)
                   for p in walks.values() for i, v in enumerate(p.vertices[:-1])}
-    edge_res = {mv for p in walks.values() for mv in p.moves()}
+    edge_res = {(u, v, p.start_time + i) for p in walks.values()
+                for i, (u, v) in enumerate(zip(p.vertices, p.vertices[1:])) if u != v}
     tasks = []
     used = set()
     for aid in range(1, rng.randint(1, 3) + 1):
@@ -513,8 +516,9 @@ def test_joint_plan_raises_when_every_state_is_a_dead_end(objective):
 
 @pytest.mark.parametrize("objective, budget", [("flowtime", 5_148), ("makespan", 19_629)])
 def test_all_mode_pop_budget_boundary(objective, budget):
-    # The budget counts heap pops, so these boundaries pin the joint search's
-    # pop count: a faster expansion loop must not move them.
+    # The budget counts every pop, from the heap or a direct child, so these
+    # boundaries pin the joint search's pop count: a faster expansion loop
+    # must not move them.
     policy = opt_rational("all", objective)
     run(InstanceSource(gen_line(6)), policy, node_budget=budget)
     with pytest.raises(BudgetExhausted, match=f"exceeded {budget - 1} pops"):
@@ -566,6 +570,43 @@ def test_reservation_path_pop_budget_boundary(name, mode, objective, budget):
     run(InstanceSource(instance), policy, node_budget=budget)
     with pytest.raises(BudgetExhausted, match=f"exceeded {budget - 1} pops"):
         run(InstanceSource(instance), policy, node_budget=budget - 1)
+
+
+def _cold_warm_spec(name, mode):
+    if name == "grid-8x8":  # the instance of the reservation-path boundaries
+        return RandomSpec(8, 8, 0.1, 12, 4, 3)
+    # One seeded 32x32 grid: the seed fixes the blocked cells, drawn before
+    # the agents. 20 agents are crowded enough that searches detour past the
+    # radius their first requests label; all mode plans 8 of them jointly.
+    return RandomSpec(32, 32, 0.1, 8 if mode == "all" else 20, 8, 19)
+
+
+@pytest.mark.parametrize("name", ["grid-8x8", "grid-32x32"])
+@pytest.mark.parametrize("policy", [sequence_policy()] + [
+    opt_rational(mode, objective) for mode in MODES for objective in ("flowtime", "makespan")
+], ids=lambda policy: policy.name)
+def test_cold_and_warm_maps_plan_alike(name, policy):
+    # Distance maps grown only as far as each search reads them (a fresh
+    # graph) and maps computed in full beforehand give byte-identical plans
+    # and the same pop boundary: every distance the planners read is exact.
+    spec = _cold_warm_spec(name, policy.mode)
+    warm = gen_random(spec)
+    for v in range(warm.graph.vertex_count):
+        warm.graph.dist_from(v)
+
+    def solve(instance, budget):
+        return repr(run(InstanceSource(instance), policy, node_budget=budget).snapshots)
+
+    if policy.planner == "sequence":  # no search, so no pop boundary
+        assert solve(gen_random(spec), 1) == solve(warm, 1)
+        return
+    boundary = _pop_count(lambda budget: solve(warm, budget))
+    cold = gen_random(spec)
+    assert solve(cold, boundary) == solve(warm, boundary)
+    with pytest.raises(BudgetExhausted, match=f"exceeded {boundary - 1} pops"):
+        solve(gen_random(spec), boundary - 1)
+    if name == "grid-32x32":  # 8x8 maps are small enough to finish at once
+        assert not all(cold.graph.dist_complete(a.goal) for a in cold.agents)
 
 
 def _pop_count(solve):

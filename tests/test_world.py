@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onmapf import (
     DisconnectedWorld,
@@ -145,7 +147,7 @@ def test_shortest_dist_reads_the_goal_keyed_map():
         s, t = rng.randrange(g.vertex_count), rng.randrange(g.vertex_count)
         g.dist_from(t)
         cached = set(g._dist_cache)
-        assert shortest_dist(g, s, t) == g._bfs(s)[t]
+        assert shortest_dist(g, s, t) == reference_bfs(g, s)[t]
         assert set(g._dist_cache) == cached
 
 
@@ -187,6 +189,74 @@ def test_dist_map_takes_the_smallest_unsigned_type(farthest, typecode):
     assert list(dist) == reference_bfs(g, 0)
 
 
+def _seeded_graph(seed):
+    """A random connected graph or a random grid with blocked cells, large
+    enough that a map stops short of complete."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        return random_connected_graph(rng, rng.randint(1, 120))
+    while True:
+        height, width = rng.randint(1, 20), rng.randint(1, 20)
+        blocked = {(r, c) for r in range(height) for c in range(width) if rng.random() < 0.2}
+        try:
+            return build_grid(height, width, blocked)
+        except (DisconnectedWorld, EmptyWorld):
+            continue
+
+
+def assert_exact_within(dist, reference, radius):
+    """Exact at every vertex within ``radius`` of the source; 0 or exact beyond."""
+    for v, d in enumerate(reference):
+        assert dist[v] == d if d <= radius else dist[v] in (0, d)
+
+
+# (source, radius or None, reach or None) draws, reduced modulo the graph's size
+requests = st.lists(st.tuples(st.integers(0, 999), st.none() | st.integers(0, 30),
+                              st.none() | st.integers(0, 999)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), requests)
+def test_resumed_maps_are_exact_within_their_radius(seed, draws):
+    g = _seeded_graph(seed)
+    n = g.vertex_count
+    references = {}
+    granted = []  # every map returned, with the radius it was asked for
+    for source, radius, reach in draws:
+        source %= n
+        if radius is None and reach is None:
+            continue  # a full request; all of them come last
+        reach = None if reach is None else reach % n
+        reference = references.setdefault(source, reference_bfs(g, source))
+        dist = g.dist_from(source, radius=radius, reach=reach)
+        asked = max(radius or 0, -1 if reach is None else reference[reach] + 1)
+        assert_exact_within(dist, reference, asked)
+        granted.append((dist, reference, asked))
+    # a map grown later is a new array: the ones handed out stay exact
+    for dist, reference, asked in granted:
+        assert_exact_within(dist, reference, asked)
+    for source in range(n):
+        dist = g.dist_from(source)
+        assert g.dist_complete(source)
+        assert list(dist) == reference_bfs(g, source)
+        assert dist.typecode == "B"
+
+
+@pytest.mark.parametrize("farthest, typecode", [(255, "B"), (256, "H"), (65_535, "H"),
+                                                (65_536, "L")])
+def test_grown_map_ends_with_the_smallest_unsigned_type(farthest, typecode):
+    # A path graph grown from its far end (vertex 0's map is complete at
+    # construction) in two partial steps, then in full.
+    g = build_graph(farthest + 1, [(v, v + 1) for v in range(farthest)])
+    g.dist_from(farthest, radius=100)
+    half = g.dist_from(farthest, reach=farthest // 2)
+    assert not g.dist_complete(farthest)
+    assert_exact_within(half, reference_bfs(g, farthest), farthest - farthest // 2 + 1)
+    dist = g.dist_from(farthest)
+    assert dist.typecode == typecode
+    assert list(dist) == reference_bfs(g, farthest)
+
+
 def test_grid_run_keeps_one_byte_maps():
     # a 32x32 grid has diameter well below 256, so every map the planners
     # cache during a run is one byte per vertex
@@ -195,6 +265,20 @@ def test_grid_run_keeps_one_byte_maps():
     cache = inst.graph._dist_cache
     assert len(cache) > 100
     assert all(dist.itemsize == 1 for dist in cache.values())
+
+
+def test_grid_run_labels_only_part_of_its_maps():
+    # The planners grow each goal's map only as far as their searches read
+    # it: on this run about 56 % of the vertices of its maps are labeled.
+    inst = gen_random(RandomSpec(32, 32, 0.1, 200, 400, seed=3))
+    run(InstanceSource(inst), opt_rational("new-single", "flowtime"))
+    g = inst.graph
+    n = g.vertex_count
+    cache = g._dist_cache
+    # an incomplete map labels its source (0) and every vertex that reads nonzero
+    labeled = sum(n if g.dist_complete(s) else n - dist.count(0) + 1 for s, dist in cache.items())
+    assert len(cache) > 100
+    assert labeled < 0.6 * n * len(cache)
 
 
 def test_open_grid_distance_is_manhattan():
