@@ -101,8 +101,8 @@ def _build_source(args: argparse.Namespace):
             raise ConfigError("--family line needs --m")
         inst = adversary.gen_line(args.m)
     else:
-        if args.m is None:
-            raise ConfigError("--family grid-random needs --m (agent count)")
+        if args.m is None or args.m < 1:
+            raise ConfigError("--family grid-random needs --m >= 1 (agent count)")
         spec = adversary.RandomSpec(
             height=8, width=8, density=0.1, agents=args.m, max_release=10, seed=args.seed
         )
@@ -163,7 +163,8 @@ def _ratio(args: argparse.Namespace, trace: online.SimulationTrace, optimum) -> 
         return RatioReport.of(trace.metrics.flowtime, opt_flow)
     if args.objective == "makespan":
         return RatioReport.of(trace.metrics.makespan, opt_make)
-    dist_sum = sum(inst.dist(i) for i in range(1, inst.m + 1))
+    # latency is flowtime less the agents' shortest distances, which both plans share
+    dist_sum = trace.metrics.flowtime - trace.metrics.latency
     return RatioReport.of(trace.metrics.latency, opt_flow - dist_sum)
 
 

@@ -34,8 +34,8 @@ depth-first to a goal), then by the lexicographically smallest configuration
 history. The history is one integer, a digit per token, whose numeric order
 among histories of one depth is that lexicographic order, so a push appends
 a digit rather than copying the history. Heuristics are exact graph
-distances wherever the search reads them (each goal's map is labeled only as
-far as that, see ``joint_plan``), and a state is closed only on a key that
+distances wherever the search reads them (a goal's map grows where a read
+misses, see ``joint_plan``), and a state is closed only on a key that
 fixes the cost of every completion, so reported optima are exact, not
 approximate.
 """
@@ -179,18 +179,11 @@ def joint_plan(
     siblings are pushed. Without such a child the next pop comes from the
     heap, and an empty heap ends the search.
 
-    Read bound, an invariant: before a state with bound f1 is expanded,
-    agent j's distance map is exact within f1 - (root flow - root rho_j) + 1
-    under flowtime and within f1 - t0 + 1 under makespan. The expansion
-    reads the map only at j's vertex v and its neighbors, so only out to
-    d(v) + 1, and d(v) is at most that radius less one. Under flowtime, f1
-    is at least j's rho, d(v), plus each other agent i's steps accrued and
-    rho, which never fall below its root rho_i (rho is consistent). Under
-    makespan, j's arrival floor t + d(v) is at most f1, with t >= t0. The
-    root reads each agent's start, so its map is first asked to reach that
-    vertex; after that the maps grow (see ``world``) on heap pops only, once
-    per larger f1, since a direct child keeps its parent's f1. Every
-    distance the search reads is therefore exact.
+    Every distance the search reads is exact. Agent j's map is labeled only
+    as far as the search has read it (see ``world``): the root reads j's
+    start, and an expansion reads j's vertex, labeled when j reached it, and
+    its neighbors. A neighbor other than the goal that reads 0 is unlabeled,
+    so the map is first grown until it labels that neighbor.
 
     The entry layer at t0 - 1 moves only the choosers, the agents that may
     still enter at t0; no cost accrues in it, and until a chooser has chosen
@@ -222,14 +215,11 @@ def joint_plan(
     # entering, the cheaper choice. Every other agent has one choice.
     currents = {task.current for task in tasks}
     dist_maps, releases, entries, entry_dist = [], [], [], []
-    root, root_rho = [], []
+    root = []
     choosers = []  # agents that choose in the entry layer, in id order
-    growing = []  # agents whose maps are incomplete, in id order
     flow, make_lb = 0, fixed_makespan
     for idx, (_, goal, release, s, current) in enumerate(tasks):
         dist = graph.dist_from(goal, reach=current if s is None else s)
-        if not graph.dist_complete(goal):
-            growing.append(idx)
         dist_maps.append(dist)
         releases.append(release)
         entries.append(s)
@@ -247,7 +237,6 @@ def joint_plan(
                 else:
                     choosers.append(idx)
         root.append(token)
-        root_rho.append(rho)
         flow += rho
         if floor > make_lb:
             make_lb = floor
@@ -270,13 +259,6 @@ def joint_plan(
     f1, f2 = (flow, make_lb) if flow_primary else (make_lb, flow)
     state = entry_layer_state(f1, f2, tuple(root), next_chooser[-1])
 
-    # The maps need only be exact within the read bound (see the docstring).
-    # While some are incomplete, each heap pop that raises f1 grows them.
-    grown = f1  # the bound the maps serve
-    if growing:
-        offsets = [flow - rho for rho in root_rho] if flow_primary else [t0] * n
-        growing = _grow_maps(graph, tasks, dist_maps, offsets, growing, f1)
-
     # All-mode replans and offline solves pass empty tables: each probe
     # below tests the table before building its key.
     edge_res = frozen.edge_reservations
@@ -289,9 +271,6 @@ def joint_plan(
     while state is not None or heap:
         if state is None:  # no child is next: the heap holds the next pop
             state = heappop(heap)
-            if growing and state[0] > grown:
-                grown = state[0]
-                growing = _grow_maps(graph, tasks, dist_maps, offsets, growing, grown)
         f1, f2, neg_depth, hist, pos, swaps = state
         pops += 1
         if pops > node_budget:
@@ -343,7 +322,11 @@ def joint_plan(
                 if u == goal:
                     options.append((DONE, (v, u), 0, nt))
                 elif u not in before and not (vertex_res and (u, nt) in vertex_res):
-                    options.append((u, (v, u), dist[u], nt + dist[u]))
+                    d = dist[u]
+                    if not d:  # a read miss: u is not labeled yet
+                        dist = dist_maps[j] = graph.dist_from(goal, reach=u)
+                        d = dist[u]
+                    options.append((u, (v, u), d, nt + d))
 
         # The smallest child with this state's bounds is the next pop (see
         # the docstring); the others are pushed. A child whose token does not
@@ -377,15 +360,6 @@ def joint_plan(
                 heappush(heap, child)
 
     raise BudgetExhausted("joint search found no conflict-free plan")
-
-
-def _grow_maps(graph, tasks, dist_maps, offsets, growing, f1):
-    """Grow the maps of the agents ``growing`` to the read bound of f1 (see
-    ``joint_plan``), in ``dist_maps``; the agents whose maps are still
-    incomplete."""
-    for j in growing:
-        dist_maps[j] = graph.dist_from(tasks[j].goal, radius=f1 - offsets[j] + 1)
-    return [j for j in growing if not graph.dist_complete(tasks[j].goal)]
 
 
 def _reconstruct(hist, depth, base, tasks, t0) -> Plan:

@@ -6,13 +6,14 @@ demand and cached on the graph, each as a read-only ``array`` of the smallest
 unsigned type that holds its farthest distance: one byte per vertex on any
 graph of diameter below 256, against an 8-byte slot in a ``list``.
 
-The maps are resumable, as in Silver's Reverse Resumable A*: a request names
-the radius it reads (or a vertex it reads, plus one level), and a map is
-labeled only that far. It is exact within the radius it was granted, reads 0
-farther out, and a later request for more resumes the BFS where it stopped
-and publishes a new array. A map whose unlabeled rest is small next to its
-frontier is finished at once, so the maps of small graphs are always
-complete. A complete map has the typecode a full BFS gives.
+The maps are resumable, as in Silver's Reverse Resumable A*: a request may
+name a vertex it reads, and a map is then labeled only out to that vertex's
+distance plus one level. It is exact where labeled and reads 0 elsewhere; a
+labeled vertex reads 0 only at the source. So a reader that reads 0 at any
+other vertex has missed: it asks again for that vertex, which resumes the BFS
+where it stopped and publishes a new array. A map whose unlabeled rest is
+small next to its frontier is finished at once, so the maps of small graphs
+are always complete. A complete map has the typecode a full BFS gives.
 """
 
 from __future__ import annotations
@@ -47,17 +48,15 @@ class Graph:
     # source -> radius within which its map is exact, for incomplete maps only
     _dist_radius: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def dist_from(self, source: int, *, radius: int | None = None,
-                  reach: int | None = None) -> array:
+    def dist_from(self, source: int, *, reach: int | None = None) -> array:
         """BFS distance map from ``source``, memoized: ``dist_from(s)[v]`` is
-        the distance from ``s`` to ``v`` wherever the map is exact.
+        the distance from ``s`` to ``v`` wherever the map is labeled.
 
-        With neither keyword the map is complete. ``radius`` asks only for
-        the vertices within that distance of ``source``, and ``reach`` for
-        those within d(source, reach) + 1: a walk from ``reach`` toward
-        ``source`` and the neighbors it looks at. Given both, the larger ball
-        is labeled. A map may be exact farther out than asked; the vertices
-        it has not labeled read 0.
+        Without ``reach`` the map is complete. With it, the map labels at
+        least the vertices within d(source, reach) + 1: a walk from ``reach``
+        toward ``source`` and the neighbors it looks at. The vertices it has
+        not labeled read 0, so a reader that reads 0 at a vertex other than
+        ``source`` calls again with ``reach`` set to that vertex.
 
         The map is an ``array`` of typecode ``'B'``, ``'H'`` or ``'L'``, the
         smallest that holds its largest entry (a complete map's farthest
@@ -68,18 +67,12 @@ class Graph:
             held = self._dist_radius.get(source)
             if held is None:  # complete
                 return dist
-            if radius is not None or reach is not None:
-                # a labeled ``reach`` reads nonzero or is the source
-                reached = reach is None or (reach == source or dist[reach]) and dist[reach] < held
-                if reached and (radius or 0) <= held:
-                    return dist
-        return self._grow(source, radius, reach)
+            # a labeled ``reach`` reads nonzero or is the source
+            if reach is not None and (reach == source or dist[reach]) and dist[reach] < held:
+                return dist
+        return self._grow(source, reach)
 
-    def dist_complete(self, source: int) -> bool:
-        """True once ``dist_from(source)`` holds every vertex's distance."""
-        return source in self._dist_cache and source not in self._dist_radius
-
-    def _grow(self, source: int, radius: int | None, reach: int | None) -> array:
+    def _grow(self, source: int, reach: int | None) -> array:
         """Label the map of ``source`` on a list, one BFS level at a time,
         from where it stopped, and publish it as a compact array."""
         n = self.vertex_count
@@ -101,15 +94,16 @@ class Graph:
                     frontier.append(v)
             except ValueError:
                 pass
-        target = n if radius is None and reach is None else (radius or 0)
-        pending = reach is not None and reach != source and not labels[reach]
-        if reach is not None and not pending and labels[reach] >= target:
-            target = labels[reach] + 1
+        if reach is None:
+            target, pending = n, False
+        else:  # one level past ``reach``, once it is labeled
+            pending = reach != source and not labels[reach]
+            target = 0 if pending else labels[reach] + 1
         labels[source] = -1  # nonzero while labeling: 0 means unlabeled
         adjacency = self.adjacency
         # Once the rest is no larger than the frontier plus what one resume
-        # costs, even at the radius asked for, the map is finished now: a
-        # later resume would cost more.
+        # costs, even at the ball asked for, the map is finished now: a later
+        # resume would cost more.
         while unlabeled and (r < target or pending
                              or unlabeled <= len(frontier) + RESUME_LABELS):
             if not frontier:

@@ -237,6 +237,13 @@ def test_config_errors(capsys):
     assert "validate needs --map or --graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["solve", "ratio"])
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_grid_random_needs_a_positive_agent_count(verb, m, capsys):
+    assert main([verb, "--family", "grid-random", "--m", m]) == 2
+    assert "--family grid-random needs --m >= 1 (agent count)" in capsys.readouterr().err
+
+
 def test_verbs_reject_flags_they_do_not_read(capsys):
     for argv in (["sweep", "--m", "8", "--m-list", "2"], ["sweep", "--seed", "1"],
                  ["sweep", "--force"], ["sweep", "--map", "x"],

@@ -210,9 +210,9 @@ def assert_exact_within(dist, reference, radius):
         assert dist[v] == d if d <= radius else dist[v] in (0, d)
 
 
-# (source, radius or None, reach or None) draws, reduced modulo the graph's size
-requests = st.lists(st.tuples(st.integers(0, 999), st.none() | st.integers(0, 30),
-                              st.none() | st.integers(0, 999)), max_size=12)
+# (source, reach or None) draws, reduced modulo the graph's size
+requests = st.lists(st.tuples(st.integers(0, 999), st.none() | st.integers(0, 999)),
+                    max_size=12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -222,14 +222,14 @@ def test_resumed_maps_are_exact_within_their_radius(seed, draws):
     n = g.vertex_count
     references = {}
     granted = []  # every map returned, with the radius it was asked for
-    for source, radius, reach in draws:
+    for source, reach in draws:
         source %= n
-        if radius is None and reach is None:
+        if reach is None:
             continue  # a full request; all of them come last
-        reach = None if reach is None else reach % n
+        reach %= n
         reference = references.setdefault(source, reference_bfs(g, source))
-        dist = g.dist_from(source, radius=radius, reach=reach)
-        asked = max(radius or 0, -1 if reach is None else reference[reach] + 1)
+        dist = g.dist_from(source, reach=reach)
+        asked = reference[reach] + 1
         assert_exact_within(dist, reference, asked)
         granted.append((dist, reference, asked))
     # a map grown later is a new array: the ones handed out stay exact
@@ -237,7 +237,7 @@ def test_resumed_maps_are_exact_within_their_radius(seed, draws):
         assert_exact_within(dist, reference, asked)
     for source in range(n):
         dist = g.dist_from(source)
-        assert g.dist_complete(source)
+        assert dist.count(0) == 1  # complete: only the source reads 0
         assert list(dist) == reference_bfs(g, source)
         assert dist.typecode == "B"
 
@@ -248,9 +248,9 @@ def test_grown_map_ends_with_the_smallest_unsigned_type(farthest, typecode):
     # A path graph grown from its far end (vertex 0's map is complete at
     # construction) in two partial steps, then in full.
     g = build_graph(farthest + 1, [(v, v + 1) for v in range(farthest)])
-    g.dist_from(farthest, radius=100)
+    g.dist_from(farthest, reach=farthest - 99)  # the vertices within 100 steps
     half = g.dist_from(farthest, reach=farthest // 2)
-    assert not g.dist_complete(farthest)
+    assert half.count(0) > 1  # incomplete: unlabeled vertices read 0
     assert_exact_within(half, reference_bfs(g, farthest), farthest - farthest // 2 + 1)
     dist = g.dist_from(farthest)
     assert dist.typecode == typecode
@@ -275,8 +275,8 @@ def test_grid_run_labels_only_part_of_its_maps():
     g = inst.graph
     n = g.vertex_count
     cache = g._dist_cache
-    # an incomplete map labels its source (0) and every vertex that reads nonzero
-    labeled = sum(n if g.dist_complete(s) else n - dist.count(0) + 1 for s, dist in cache.items())
+    # a map labels its source (0) and every vertex that reads nonzero
+    labeled = sum(n - dist.count(0) + 1 for dist in cache.values())
     assert len(cache) > 100
     assert labeled < 0.6 * n * len(cache)
 
