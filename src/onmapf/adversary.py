@@ -135,6 +135,8 @@ class SatInstance:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.variable_count < 1:
+            raise MalformedSat(f"variable count must be at least 1, got {self.variable_count}")
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         occurrences = {}  # only the variables that occur, not one per declared variable
         for idx, clause in enumerate(self.clauses, start=1):

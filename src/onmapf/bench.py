@@ -29,9 +29,6 @@ from .errors import (
 )
 from .search import NODE_BUDGET, offline_optimal
 
-ORACLE_MAX_AGENTS = 4
-ORACLE_MAX_VERTICES = 25
-
 REPORT_COLUMNS = (
     "policy,mode,objective,agents,flowtime,makespan,latency,conflicts,"
     "rational_all_steps,fallback_steps,alg_cost,opt_cost,ratio,additive_gap"
@@ -116,14 +113,8 @@ def _planning_objective(objective: str) -> str:
 
 
 def _oracle(args: argparse.Namespace, inst: OnlineInstance):
-    """The full-knowledge optimal plan of a fixed instance; refused beyond
-    the size caps unless ``--force``."""
-    if not args.force and (inst.m > ORACLE_MAX_AGENTS
-                           or inst.graph.vertex_count > ORACLE_MAX_VERTICES):
-        raise ConfigError(
-            f"joint oracle refused: {inst.m} agents on {inst.graph.vertex_count} vertices "
-            f"exceeds {ORACLE_MAX_AGENTS} agents / {ORACLE_MAX_VERTICES} vertices (use --force)"
-        )
+    """The full-knowledge optimal plan of a fixed instance, bounded by
+    ``--node-budget``."""
     return offline_optimal(
         inst.graph, inst.agents, objective=_planning_objective(args.objective),
         node_budget=args.node_budget,
@@ -341,7 +332,6 @@ def _add_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out")
     parser.add_argument("--node-budget", type=int, default=NODE_BUDGET)
-    parser.add_argument("--force", action="store_true")
 
 
 @functools.cache

@@ -55,8 +55,9 @@ are extended by the new group, which gives exactly
 ``core.rationality_bounds``, since the chain is a left fold in id order. The
 committed flowtime and makespan are extended by the group's paths (by the
 chain's paths after a fallback) and recomputed only after an ``all``-mode
-replan. Each agent's vertices are checked once, when it is revealed. Outside
-the planners, an event therefore costs O(size of the new group); the
+replan. Each agent's vertices are checked when it is revealed, and once more
+after the last event, when ``run`` builds the final ``OnlineInstance``.
+Outside the planners, an event therefore costs O(size of the new group); the
 snapshot's plan copy (``observe`` is handed the same one), a fallback and an
 ``all``-mode replan are the exceptions.
 """

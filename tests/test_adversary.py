@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -124,6 +125,9 @@ def test_sat_instance_validation():
         SatInstance(1, ((1, 1, 1, 1),))  # oversized clause
     with pytest.raises(MalformedSat):
         SatInstance(1, ((1,), (1,), (-2,)))  # literal out of range
+    for count in (0, -3, -5):
+        with pytest.raises(MalformedSat, match="variable count must be at least 1"):
+            SatInstance(count, ())
 
 
 def test_sat_header_count_allocates_nothing_per_declared_variable():
@@ -238,6 +242,75 @@ def test_at_most_one_shared_route_per_variable():
     }
     conflicts = detect_conflicts(both_shared)
     assert any(c.kind == "vertex" for c in conflicts)  # they meet at the junction
+
+
+def _formula_classes(n):
+    """Every <=3,=3 formula over exactly ``n`` variables, one per class under
+    renaming and polarity flips, as sorted tuples of sorted clauses.
+
+    A flip makes every variable occur twice positively and once negatively,
+    so only renamings remain. Clauses are drawn as a multiset, in the order
+    of ``candidates``, so each formula is built once."""
+    candidates = [
+        tuple(sorted(v * s for v, s in zip(vs, signs)))
+        for size in (1, 2, 3)
+        for vs in itertools.combinations(range(1, n + 1), size)
+        for signs in itertools.product((1, -1), repeat=size)
+    ]
+    formulas = []
+
+    def extend(start, left, clauses):
+        if not any(left.values()):
+            formulas.append(clauses)
+            return
+        for i in range(start, len(candidates)):
+            clause = candidates[i]
+            if all(left[lit] for lit in clause):
+                for lit in clause:
+                    left[lit] -= 1
+                extend(i, left, clauses + [clause])
+                for lit in clause:
+                    left[lit] += 1
+
+    extend(0, {lit: 2 if lit > 0 else 1 for v in range(1, n + 1) for lit in (v, -v)}, [])
+
+    def renamed(clauses, names):
+        rename = {v: w for v, w in enumerate(names, start=1)}
+        return tuple(sorted(tuple(sorted(rename[lit] if lit > 0 else -rename[-lit] for lit in c))
+                            for c in clauses))
+
+    permutations = list(itertools.permutations(range(1, n + 1)))
+    return sorted({min(renamed(clauses, names) for names in permutations)
+                   for clauses in formulas})
+
+
+def _connected(n, clauses):
+    """Whether the variable-clause incidence graph is connected."""
+    reached = {1}
+    for _ in range(n):
+        reached |= {abs(lit) for c in clauses if any(abs(x) in reached for x in c) for lit in c}
+    return len(reached) == n
+
+
+def test_reduction_iff_on_every_small_formula_class():
+    # Every connected <=3,=3 formula with at most 3 variables, up to renaming
+    # and polarity flips: optimal makespan 3 iff satisfiable.
+    counts = {}
+    for n in (1, 2, 3):
+        classes = _formula_classes(n)
+        connected = [c for c in classes if _connected(n, c)]
+        counts[n] = len(classes), len(connected)
+        for clauses in connected:
+            sat = SatInstance(n, clauses)
+            out = reduce_sat(sat)
+            inst = out.instance
+            plan = offline_optimal(inst.graph, inst.agents, objective="makespan")
+            assert detect_conflicts(plan) == [], clauses
+            makespan = evaluate(plan, range(1, inst.m + 1), inst).makespan
+            assert (makespan == 3) == (brute_force_assignment(sat) is not None), clauses
+            if makespan == 3:
+                assert satisfies(sat, decode_assignment(out, plan)), clauses
+    assert counts == {1: (1, 1), 2: (10, 9), 3: (108, 98)}
 
 
 # ---------------------------------------------------------------------------

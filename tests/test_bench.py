@@ -96,16 +96,16 @@ def test_ratio_2x2_makespan_and_latency(capsys):
     assert "1/0 = inf (additive gap 1)" in out
 
 
-def test_ratio_oracle_guard(tmp_path, capsys):
+def test_ratio_oracle_runs_on_the_grid_family(capsys):
     rc = main(["ratio", "--family", "grid-random", "--m", "6", "--seed", "1",
                "--objective", "flowtime"])
-    assert rc == 2  # 6 agents on an 8x8 grid: refused without --force
-    assert "use --force" in capsys.readouterr().err
+    assert rc == 0  # 6 agents on an 8x8 grid: bounded by the node budget alone
+    assert "flowtime ratio: 105/36" in capsys.readouterr().out
 
 
 def test_ratio_forced_oracle_never_below_one(capsys):
     rc = main(["ratio", "--family", "grid-random", "--m", "3", "--seed", "0",
-               "--objective", "flowtime", "--force"])
+               "--objective", "flowtime"])
     assert rc == 0
     ratio_line = [l for l in capsys.readouterr().out.splitlines() if "ratio:" in l][0]
     alg, opt = (int(x) for x in ratio_line.split()[2].split("/"))
@@ -209,6 +209,13 @@ def test_reduce_sat_rejects_bad_occurrences(tmp_path, capsys):
     assert "occurs 2 times" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["p cnf 0 0", "p cnf -3 0"])
+def test_reduce_sat_rejects_a_variable_count_below_one(header, tmp_path, capsys):
+    cnf = write(tmp_path, "empty.cnf", header + "\n")
+    assert main(["reduce-sat", "--cnf", cnf, "--out", str(tmp_path / "x")]) == 2
+    assert "variable count must be at least 1" in capsys.readouterr().err
+
+
 def test_validate_exit_codes(tmp_path, capsys):
     good_map = write(tmp_path, "good.map", MAP_1X2)
     scen = write(tmp_path, "good.scen", SCEN_SINGLE)
@@ -246,7 +253,7 @@ def test_grid_random_needs_a_positive_agent_count(verb, m, capsys):
 
 def test_verbs_reject_flags_they_do_not_read(capsys):
     for argv in (["sweep", "--m", "8", "--m-list", "2"], ["sweep", "--seed", "1"],
-                 ["sweep", "--force"], ["sweep", "--map", "x"],
+                 ["sweep", "--force"], ["ratio", "--force"], ["sweep", "--map", "x"],
                  ["sweep", "--family", "grid-random"],
                  ["validate", "--map", "x", "--out", "x"],
                  ["validate", "--map", "x", "--node-budget", "5"],
@@ -340,7 +347,7 @@ def test_custom_irrational_solves_the_optimum_once(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(onmapf.bench, "offline_optimal", counted)
     out_dir = tmp_path / "replay"
-    assert main(["ratio", "--family", "grid-random", "--m", "3", "--force",
+    assert main(["ratio", "--family", "grid-random", "--m", "3",
                  "--policy", "custom-irrational", "--out", str(out_dir)]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.splitlines()[:2] == [
@@ -357,12 +364,13 @@ def test_custom_irrational_solves_the_optimum_once(tmp_path, capsys, monkeypatch
         "2,7,15,16,30,19,1,1,0\n"
         "3,9,18,16,54,22,1,1,0\n"
     )
-    # the refusal still comes before anything is printed
+    # an oracle that exhausts the node budget still fails before anything
+    # is printed
     assert main(["ratio", "--family", "grid-random", "--m", "6",
-                 "--policy", "custom-irrational"]) == 2
+                 "--policy", "custom-irrational", "--node-budget", "1"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "use --force" in captured.err
-    assert len(calls) == 1
+    assert captured.out == "" and "joint search exceeded 1 pops" in captured.err
+    assert len(calls) == 2
 
 
 def _call(argv, capsys):
