@@ -181,7 +181,11 @@ def joint_plan(
     the children differ in that token alone) precedes the whole heap. It is
     the next pop, counted against the budget like any other, and only its
     siblings are pushed. Without such a child the next pop comes from the
-    heap, and an empty heap ends the search.
+    heap, and an empty heap ends the search. The first such option is the
+    one: a wait adds a flowtime step, so only moves keep the parent's
+    bounds, and neighbors come in id order. A move to the goal keeps them
+    only from a vertex next to it, where no other neighbor is nearer the
+    goal.
 
     Every distance the search reads is exact. Agent j's map is labeled only
     as far as the search has read it (see ``world``): the root reads j's
@@ -332,9 +336,9 @@ def joint_plan(
                         d = dist[u]
                     options.append((u, (v, u), d, nt + d))
 
-        # The smallest child with this state's bounds is the next pop (see
-        # the docstring); the others are pushed. A child whose token does not
-        # change shares this state's configuration tuple.
+        # The first child with this state's bounds, the smallest, is the
+        # next pop (see the docstring); the others are pushed. A child whose
+        # token does not change shares this state's configuration tuple.
         deeper = neg_depth - 1
         shifted = hist * base + 2  # the child's history less its token
         kept = tuple(mv for mv in swaps if mv[1] in after) if swaps else ()
@@ -356,10 +360,8 @@ def joint_plan(
             else:
                 moves = kept + (edge,) if edge and edge[1] in after else kept
                 child = (nf1, nf2, deeper, shifted + new_token, new_pos, moves)
-            if flow2 == flow and m2 == make_lb and (state is None or new_token < next_token):
-                if state is not None:
-                    heappush(heap, state)
-                state, next_token = child, new_token
+            if flow2 == flow and m2 == make_lb and state is None:
+                state = child
             else:
                 heappush(heap, child)
 

@@ -6,14 +6,15 @@ demand and cached on the graph, each as a read-only ``array`` of the smallest
 unsigned type that holds its farthest distance: one byte per vertex on any
 graph of diameter below 256, against an 8-byte slot in a ``list``.
 
-The maps are resumable, as in Silver's Reverse Resumable A*: a request may
-name a vertex it reads, and a map is then labeled only out to that vertex's
-distance plus one level. It is exact where labeled and reads 0 elsewhere; a
-labeled vertex reads 0 only at the source. So a reader that reads 0 at any
-other vertex has missed: it asks again for that vertex, which resumes the BFS
-where it stopped and publishes a new array. A map whose unlabeled rest is
-small next to its frontier is finished at once, so the maps of small graphs
-are always complete. A complete map has the typecode a full BFS gives.
+A map is labeled only as far as it is read: a request may name a vertex it
+reads, and the map is then labeled out to that vertex's distance plus one
+level. It is exact where labeled and reads 0 elsewhere; a labeled vertex
+reads 0 only at the source. So a reader that reads 0 at any other vertex has
+missed: it asks again for that vertex, and the map is labeled afresh from its
+source out to the larger ball and published as a new array. (Resuming the
+BFS where it stopped would reread the whole map anyway, and few maps miss
+more than once.) A request without a vertex labels the whole map; a
+complete map has the typecode a full BFS gives.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .errors import DisconnectedWorld, EmptyWorld, InvalidEdge, ParseError
 
 BLOCKED_CHAR = "@"
 FREE_CHAR = "."
-# A resume rereads the whole map (``tolist``, ``count``, a rescan for the
-# frontier, a new array), which costs about as much as labeling this many
-# vertices (measured on CPython 3.11 with 6- to 920-vertex grids).
-RESUME_LABELS = 32
 
 
 @dataclass(frozen=True)
@@ -73,43 +70,22 @@ class Graph:
         return self._grow(source, reach)
 
     def _grow(self, source: int, reach: int | None) -> array:
-        """Label the map of ``source`` on a list, one BFS level at a time,
-        from where it stopped, and publish it as a compact array."""
+        """Label the map of ``source`` afresh on a list, one BFS level at a
+        time, until ``reach`` is labeled and then one level more (without
+        ``reach``, every level), and publish it as a compact array."""
         n = self.vertex_count
-        dist = self._dist_cache.get(source)
-        if dist is None:
-            labels = [0] * n
-            r, unlabeled = 0, n - 1
-        else:
-            labels = dist.tolist()
-            r = self._dist_radius[source]
-            unlabeled = labels.count(0) - 1  # every 0 but the source's
-        if r == 0:
-            frontier = [source]
-        else:  # the vertices at distance r, the only labels that equal r
-            frontier, v = [], -1
-            try:
-                while True:
-                    v = labels.index(r, v + 1)
-                    frontier.append(v)
-            except ValueError:
-                pass
-        if reach is None:
-            target, pending = n, False
-        else:  # one level past ``reach``, once it is labeled
-            pending = reach != source and not labels[reach]
-            target = 0 if pending else labels[reach] + 1
+        labels = [0] * n
         labels[source] = -1  # nonzero while labeling: 0 means unlabeled
+        frontier = [source]
+        r, unlabeled = 0, n - 1
+        # the last level to label: one past ``reach``'s once it is labeled,
+        # every level (at most n) until then and without ``reach``
+        pending = reach is not None and reach != source
+        target = n if reach is None or pending else 1
         adjacency = self.adjacency
-        # Once the rest is no larger than the frontier plus what one resume
-        # costs, even at the ball asked for, the map is finished now: a later
-        # resume would cost more.
-        while unlabeled and (r < target or pending
-                             or unlabeled <= len(frontier) + RESUME_LABELS):
+        while unlabeled and r < target:
             if not frontier:
                 raise DisconnectedWorld("graph is not connected")
-            if unlabeled <= len(frontier) + RESUME_LABELS:
-                target = n
             r += 1
             level = []
             for v in frontier:
@@ -120,14 +96,12 @@ class Graph:
             unlabeled -= len(level)
             frontier = level
             if pending and labels[reach]:
-                pending = False
-                if r >= target:
-                    target = r + 1
+                pending, target = False, r + 1
         labels[source] = 0
         if unlabeled:
             self._dist_radius[source] = r
-        elif dist is not None:
-            del self._dist_radius[source]
+        else:
+            self._dist_radius.pop(source, None)
         # every label is at most r: BFS labels vertices in order of distance
         if r < 256:
             dist = array("B", bytes(labels))

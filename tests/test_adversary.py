@@ -157,6 +157,20 @@ def test_parse_dimacs_roundtrip_and_errors():
         parse_dimacs("p cnf 2 1\n1 2")  # unterminated clause
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 2\n1 2 0\n", "<cnf>:1: expected 'p cnf N M' header"),
+    ("c comment\np sat 2 1\n1 2 0\n", "<cnf>:2: expected 'p cnf N M' header"),
+    ("p cnf two 1\n1 2 0\n", "<cnf>:1: header counts must be integers"),
+    ("p cnf 2 1\n1 x 0\n", "<cnf>:2: expected an integer literal, got 'x'"),
+    ("c only a comment\n\n", "<cnf>:1: missing 'p cnf' header"),
+    ("", "<cnf>:1: missing 'p cnf' header"),
+])
+def test_parse_dimacs_header_and_literal_errors(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_dimacs(text)
+    assert str(excinfo.value) == message
+
+
 def test_reduction_structure_for_two_variables():
     out = reduce_sat(SAT_N2)
     inst = out.instance
@@ -232,6 +246,23 @@ def test_decode_reads_shared_routes():
     decoded = decode_assignment(out, plan)
     assert decoded == {1: True, 2: True}
     assert satisfies(SAT_N2, decoded)
+
+
+def test_decode_sets_a_variable_with_two_private_routes_true():
+    # x1 true and x2 false satisfy every clause, so both of x3's literal
+    # agents may take their private routes; the decoded x3 is then True.
+    sat = SatInstance(3, ((-3, -2, -1), (1, 2, 3), (1, 2, 3)))
+    out = reduce_sat(sat)
+    routes = ["shared", "private", "private", "shared", "private", "private"]
+    plan = {aid: Path(0, (out.shared_paths if kind == "shared" else out.private_paths)[aid])
+            for aid, kind in enumerate(routes, start=1)}
+    for aid, choice in zip((7, 8, 9), (1, 0, 0)):
+        plan[aid] = Path(0, out.clause_paths[aid][choice])
+    assert detect_conflicts(plan) == []
+    assert evaluate(plan, range(1, out.instance.m + 1), out.instance).makespan == 3
+    decoded = decode_assignment(out, plan)
+    assert decoded == {1: True, 2: False, 3: True}
+    assert satisfies(sat, decoded)
 
 
 def test_at_most_one_shared_route_per_variable():

@@ -7,6 +7,7 @@ from onmapf import (
     InstanceSource,
     OnlineInstance,
     Path,
+    ProtocolViolation,
     build_grid,
     build_obstacles,
     RevealSource,
@@ -407,6 +408,23 @@ def test_out_of_range_reveal_raises_at_its_event_before_planning():
                 run(source, policy)
             assert source.observed == [0], policy.name
         assert hook_calls == [0] * 4  # four hook policies, none reached the bad event
+
+
+@pytest.mark.parametrize("events, message", [
+    ([(1, [Agent(1, 0, 2, 1)]), (1, [Agent(2, 2, 0, 1)])],
+     "release events must have increasing times"),
+    ([(0, [Agent(1, 0, 2, 0)]), (1, [Agent(3, 2, 0, 1)])], "expected agent 2, got 3"),
+    ([(0, [Agent(1, 0, 2, 0), Agent(1, 2, 0, 0)])], "expected agent 2, got 1"),
+    ([(0, [Agent(1, 0, 2, 0)]), (2, [Agent(2, 2, 0, 1)])],
+     "revealed agent's release differs from event time"),
+])
+def test_source_breaking_the_reveal_protocol_is_refused(events, message):
+    # Checked when the event is handed out: the events before it are planned
+    # and observed, the bad one is not.
+    source = ScriptedSource(build_grid(1, 3), events)
+    with pytest.raises(ProtocolViolation, match=f"^{message}$"):
+        run(source, sequence_policy())
+    assert source.observed == [t for t, _ in events[:-1]]
 
 
 def test_hook_context_holds_committed_makespan_and_event_bounds():

@@ -257,6 +257,18 @@ def test_grown_map_ends_with_the_smallest_unsigned_type(farthest, typecode):
     assert list(dist) == reference_bfs(g, farthest)
 
 
+def test_small_map_asked_with_reach_stops_one_level_past_it():
+    # However small the graph, a map asked for a vertex is labeled one level
+    # past that vertex's distance and no further: the rest reads 0 until a
+    # read miss asks for more.
+    g = build_graph(10, [(v, v + 1) for v in range(9)])
+    assert list(g.dist_from(9, reach=7)) == [0] * 6 + [3, 2, 1, 0]
+    grown = g.dist_from(9, reach=4)
+    assert list(grown) == [0] * 3 + [6, 5, 4, 3, 2, 1, 0]
+    assert g.dist_from(9, reach=5) is grown  # labeled within its radius
+    assert list(g.dist_from(9)) == list(range(9, -1, -1))
+
+
 def test_grid_run_keeps_one_byte_maps():
     # a 32x32 grid has diameter well below 256, so every map the planners
     # cache during a run is one byte per vertex
@@ -317,3 +329,11 @@ def test_graph_roundtrip_and_errors():
         load_graph("vertices two\n0 1")
     with pytest.raises(ParseError):
         load_graph("vertices 2\n0 1 2")
+
+
+def test_graph_format_skips_comments_and_blank_lines():
+    text = "vertices 3\n# a path\n\n0 1\n   \n  # indented comment\n1 2\n"
+    assert load_graph(text).adjacency == ((1,), (0, 2), (1,))
+    # skipped lines still count toward the line number of an error
+    with pytest.raises(ParseError, match="^<graph>:5: expected 'u v' edge line$"):
+        load_graph("vertices 3\n# two edges\n\n0 1\n1\n")
