@@ -21,11 +21,18 @@ its history, its configuration and its pending swap moves. The time and the
 agent to move follow from the depth, and one option generator serves the
 entry layer and every later layer alike.
 
-Many pops skip the heap. No child's cost bounds fall below its parent's,
-and every state on the heap follows the one being expanded, so the smallest
-child that keeps its parent's bounds is the next pop: it is expanded at
-once, and only its siblings are pushed. The states popped, and their order,
-are those of a search that pops every state from the heap.
+Many searches never touch the heap. No child's cost bounds fall below its
+parent's, and every state on the heap follows the one being expanded, so the
+smallest child that keeps its parent's bounds is the next pop. Each search
+first descends from the root along these children alone, building no
+sibling and closing no state, as Partial Expansion A* builds only the
+children whose f equals their parent's. A search that pops every state from
+the heap pops this chain first, so a descent that reaches the goal returns
+its plan after its pops. At a state with no such child the search restarts
+from the root in full, where a child that keeps its parent's bounds is
+still expanded at once and only its siblings are pushed. Either way the
+states popped, and their order, are those of a search that pops every state
+from the heap.
 
 The search is exact and fully deterministic. It breaks ties by the secondary
 objective (makespan under flowtime and vice versa), then toward the deeper
@@ -53,9 +60,10 @@ from .world import Graph
 PENDING = -1  # joint-state token: revealed (or not) but not yet in the graph
 DONE = -2  # joint-state token: arrived and removed
 # Default cap on pops per search call, heap or not. It bounds pops, not
-# memory, and it is the only bound on the CLI's oracle: every open state is
-# kept, at 2.6-6.4 KB per pop on 32x32 grids, and the line m = 8 optimum
-# exhausts it at 1.58 GB peak RSS (README, `--node-budget`).
+# memory, and it is the only bound on the CLI's oracle: once a search's
+# descent breaks, every open state is kept (a search whose descent reaches
+# the goal keeps none), at 2.6-6.4 KB per pop on 32x32 grids, and the line
+# m = 8 optimum exhausts it at 1.58 GB peak RSS (README, `--node-budget`).
 NODE_BUDGET = 10_000_000
 
 
@@ -170,22 +178,34 @@ def joint_plan(
     out, adds the step it accrues in this layer (if released) and puts the
     rho of its new token in.
 
-    The next pop is often taken without the heap, and the pops stay those
-    of a pure heap search. This rests on one invariant: no child's (f1, f2)
+    The search descends before it expands, and its pops stay those of a
+    pure heap search. This rests on one invariant: no child's (f1, f2)
     falls below its parent's. Rho is consistent (one step lowers an agent's
     rho by at most the step it accrues), and a child's makespan bound is
     max(its arrival floor, the parent's bound). Every heap entry follows the
     state just popped, so an entry with that state's (f1, f2) is no deeper
     than it, while every child is deeper. Hence the child with the parent's
     (f1, f2) and, among those, the smallest token (the smallest history, as
-    the children differ in that token alone) precedes the whole heap. It is
-    the next pop, counted against the budget like any other, and only its
-    siblings are pushed. Without such a child the next pop comes from the
-    heap, and an empty heap ends the search. The first such option is the
-    one: a wait adds a flowtime step, so only moves keep the parent's
-    bounds, and neighbors come in id order. A move to the goal keeps them
-    only from a vertex next to it, where no other neighbor is nearer the
-    goal.
+    the children differ in that token alone) precedes the whole heap: it is
+    the next pop. The first such option is the one. A released agent's wait,
+    on the graph or off it, adds a flowtime step, so for an agent in the
+    graph only a step to a neighbor one closer to the goal keeps the bounds
+    (the goal itself from a vertex next to it), and neighbors come in id
+    order. A read miss never does: an unlabeled neighbor is farther from the
+    goal than the agent's own vertex, which is labeled.
+
+    From the root the search follows these children alone: it builds no
+    other child, pushes nothing and closes nothing. A pure heap search pops
+    the same states first, in the same order, and finds none of them closed
+    when it pops it, since each is deeper than the last and the depth is
+    part of every closed key. So a descent that reaches the goal returns
+    that search's plan after its pops, and a budget ends both at the same
+    pop. At the first state without such a child the search restarts from
+    the root, with its pop count back at 0, and searches in full: it expands
+    the chain again, now pushing the siblings and closing the states, and
+    still takes a child that keeps its parent's bounds as the next pop
+    without the heap, pushing only its siblings. Without such a child the
+    next pop comes from the heap, and an empty heap ends the search.
 
     Every distance the search reads is exact. Agent j's map is labeled only
     as far as the search has read it (see ``world``): the root reads j's
@@ -265,7 +285,7 @@ def joint_plan(
     # No two entries share a history, so (f1, f2, -depth, history) orders
     # them totally and fixes the pop order.
     f1, f2 = (flow, make_lb) if flow_primary else (make_lb, flow)
-    state = entry_layer_state(f1, f2, tuple(root), next_chooser[-1])
+    root_state = state = entry_layer_state(f1, f2, tuple(root), next_chooser[-1])
 
     # All-mode replans and offline solves pass empty tables: each probe
     # below tests the table before building its key.
@@ -276,6 +296,7 @@ def joint_plan(
     heap = []
     closed = set()
     pops = 0
+    descending = True  # following the chain of bound-keeping children from the root
     while state is not None or heap:
         if state is None:  # no child is next: the heap holds the next pop
             state = heappop(heap)
@@ -286,11 +307,12 @@ def joint_plan(
         depth = -neg_depth
         if pos == finished:
             return _reconstruct(hist, depth, base, tasks, t0)
-        size = len(closed)
-        closed.add((depth, pos, swaps) if flow_primary else (depth, pos, swaps, f1))
-        if len(closed) == size:  # closed before
-            state = None
-            continue
+        if not descending:  # the chain grows deeper: none of its states was closed before
+            size = len(closed)
+            closed.add((depth, pos, swaps) if flow_primary else (depth, pos, swaps, f1))
+            if len(closed) == size:  # closed before
+                state = None
+                continue
         flow, make_lb = (f1, f2) if flow_primary else (f2, f1)
         t, j = divmod(depth, n)
         t += t0 - 1
@@ -312,7 +334,8 @@ def joint_plan(
             d = entry_dist[j]
             rest = flow - d
             if releases[j] <= nt:
-                options.append((PENDING, None, 1 + d, nt + 1 + d))
+                if not descending:  # a released agent's wait adds a flowtime step
+                    options.append((PENDING, None, 1 + d, nt + 1 + d))
                 s = entries[j]
                 if s not in before and not (vertex_res and (s, nt) in vertex_res):
                     options.append((s, None, d, nt + d))
@@ -320,11 +343,14 @@ def joint_plan(
                 options.append((PENDING, None, d, releases[j] + d))
         else:
             v = token
-            rest = flow + 1 - dist[v]  # an agent in the graph is released
-            if v not in before and not (vertex_res and (v, nt) in vertex_res):
-                options.append((v, None, dist[v], nt + dist[v]))
+            dv = dist[v]
+            rest = flow + 1 - dv  # an agent in the graph is released
+            if not descending and v not in before and not (vertex_res and (v, nt) in vertex_res):
+                options.append((v, None, dv, nt + dv))
             goal = tasks[j].goal
             for u in adjacency[v]:
+                if descending and (u != goal if dv == 1 else dist[u] != dv - 1):
+                    continue  # only a step one closer to the goal keeps the bounds
                 if edge_res and (u, v, t) in edge_res or swaps and (u, v) in swaps:
                     continue
                 if u == goal:
@@ -335,10 +361,14 @@ def joint_plan(
                         dist = dist_maps[j] = graph.dist_from(goal, reach=u)
                         d = dist[u]
                     options.append((u, (v, u), d, nt + d))
+                    if descending:
+                        break  # a second step one closer would keep the same bounds
 
         # The first child with this state's bounds, the smallest, is the
-        # next pop (see the docstring); the others are pushed. A child whose
-        # token does not change shares this state's configuration tuple.
+        # next pop (see the docstring); the others are pushed. A descent
+        # has at most one option and pushes nothing: if that option does not
+        # keep the bounds, the chain breaks. A child whose token does not
+        # change shares this state's configuration tuple.
         deeper = neg_depth - 1
         shifted = hist * base + 2  # the child's history less its token
         kept = tuple(mv for mv in swaps if mv[1] in after) if swaps else ()
@@ -362,8 +392,11 @@ def joint_plan(
                 child = (nf1, nf2, deeper, shifted + new_token, new_pos, moves)
             if flow2 == flow and m2 == make_lb and state is None:
                 state = child
-            else:
+            elif not descending:
                 heappush(heap, child)
+        if descending and state is None:  # the chain breaks: search in full from the root
+            descending = False
+            state, pops = root_state, 0
 
     raise BudgetExhausted("joint search found no conflict-free plan")
 

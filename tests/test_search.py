@@ -28,8 +28,9 @@ from onmapf import (
     sequence_policy,
     validate_path,
 )
+from onmapf import online, search
 from onmapf.online import MODES
-from onmapf.world import build_graph
+from onmapf.world import build_graph, shortest_path_lex
 
 from references import min_arrival_oracle, random_connected_graph, reservation_horizon
 
@@ -673,3 +674,79 @@ def test_all_mode_plans_on_line_m6(objective):
         5: Path(4, (0, 1, 2, 3, 4, 5, 6)),
         6: Path(12, (6, 5, 4, 3, 2, 1, 0)),
     }
+
+
+def _joint_calls(monkeypatch, instance, policy):
+    """Every ``joint_plan`` call of a run: its arguments, with the frozen
+    table copied at call time (the run extends it after the call)."""
+    calls = []
+    real = search.joint_plan
+
+    def capture(graph, tasks, objective, *, frozen=None, **kwargs):
+        copy = None
+        if frozen is not None:
+            copy = DynamicObstacleSet()
+            copy.vertex_reservations = dict(frozen.vertex_reservations)
+            copy.edge_reservations = dict(frozen.edge_reservations)
+            copy.shared = dict(frozen.shared)
+        calls.append((graph, list(tasks), objective, copy, kwargs))
+        return real(graph, tasks, objective, frozen=frozen, **kwargs)
+
+    monkeypatch.setattr(search, "joint_plan", capture)
+    monkeypatch.setattr(online, "joint_plan", capture)
+    run(InstanceSource(instance), policy)
+    monkeypatch.undo()
+    return calls
+
+
+def _call_pops(calls):
+    """The pop count of each captured call, by bisection on its budget."""
+    def count(graph, tasks, objective, frozen, kwargs):
+        return _pop_count(lambda budget: search.joint_plan(
+            graph, tasks, objective, frozen=frozen, **{**kwargs, "node_budget": budget}))
+    return [count(*call) for call in calls]
+
+
+GRID_8X8 = RandomSpec(8, 8, 0.1, 12, 4, 3)  # the reservation-path boundaries' grid
+
+
+@pytest.mark.parametrize("spec, mode, objective, pops", [
+    (GRID_8X8, "new-single", "flowtime", [6, 8, 4, 3, 11, 7, 6, 9, 5, 5, 11, 7]),
+    (GRID_8X8, "new-single", "makespan", [6, 8, 4, 3, 11, 7, 6, 9, 5, 5, 11, 7]),
+    (GRID_8X8, "new", "flowtime", [51, 7, 24, 150]),
+    (GRID_8X8, "new", "makespan", [51, 7, 24, 2_212]),
+    (RandomSpec(32, 32, 0.1, 20, 8, 19), "new-single", "flowtime", [
+        21, 17, 8, 33, 7, 20, 48, 27, 25, 13, 40, 32, 56, 37, 28, 25, 14, 20, 33, 26,
+    ]),
+])
+def test_per_call_pop_budget_boundary(monkeypatch, spec, mode, objective, pops):
+    # The run-level boundaries pin only a run's deepest search; these pin
+    # the pop count of every joint search of the run, in call order.
+    calls = _joint_calls(monkeypatch, gen_random(spec), opt_rational(mode, objective))
+    assert _call_pops(calls) == pops
+
+
+def test_min_arrival_on_an_empty_table_walks_the_lex_shortest_path():
+    # Nothing blocks the descent: every agent enters at its release and
+    # walks the smallest-id shortest path, each step one closer to its goal.
+    inst = gen_random(RandomSpec(32, 32, 0.1, 20, 8, 19))
+    for agent in inst.agents:
+        path = plan_min_arrival(inst.graph, agent)
+        assert path == Path(agent.release, shortest_path_lex(inst.graph, agent.start, agent.goal))
+
+
+def test_min_arrival_pop_budget_boundary_when_the_descent_breaks():
+    # On the 2 x 5 grid the agent's lex path runs along the top row, but the
+    # frozen walk holds vertex 2 at t = 2, when the agent would step onto it
+    # from 1, whose only neighbor nearer the goal is 2. The descent breaks
+    # there and the search restarts from the root in full; the arrival is
+    # the oracle's, and the pop boundary is pinned.
+    g = build_grid(2, 5)
+    agent = Agent(1, 0, 4, 0)
+    walks = {9: Path(1, (7, 2, 7))}
+    frozen = build_obstacles(walks)
+    assert shortest_path_lex(g, 0, 4) == (0, 1, 2, 3, 4)
+    path = plan_min_arrival(g, agent, frozen)
+    horizon = reservation_horizon(walks) + g.vertex_count + 1
+    assert path.arrival_time == min_arrival_oracle(g, agent, walks, 0, horizon)
+    assert _pop_count(lambda budget: plan_min_arrival(g, agent, frozen, budget)) == 7
