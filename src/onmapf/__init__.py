@@ -20,7 +20,6 @@ from .adversary import (
     line_closed_forms,
     parse_dimacs,
     reduce_sat,
-    satisfies,
 )
 from .core import (
     Agent,

@@ -162,12 +162,6 @@ class SatInstance:
                 raise MalformedSat(f"variable {var} must occur in both polarities")
 
 
-def satisfies(sat: SatInstance, assignment: dict[int, bool]) -> bool:
-    return all(
-        any(assignment[abs(lit)] == (lit > 0) for lit in clause) for clause in sat.clauses
-    )
-
-
 def parse_dimacs(text: str, source: str = "<cnf>") -> SatInstance:
     """DIMACS CNF: ``p cnf N M`` header, clauses as 0-terminated literal runs."""
     n = m = None

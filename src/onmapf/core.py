@@ -59,6 +59,8 @@ class OnlineInstance:
         return len(self.agents)
 
     def agent(self, agent_id: int) -> Agent:
+        if not 1 <= agent_id <= len(self.agents):
+            raise ValueError(f"agent id {agent_id} out of range 1..{len(self.agents)}")
         return self.agents[agent_id - 1]
 
     def dist(self, agent_id: int) -> int:

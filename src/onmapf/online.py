@@ -17,15 +17,15 @@ every event. Commitment semantics:
 
 The two non-rerouting modes share one commit loop and differ only in where
 the candidates come from: the custom hook, one joint plan of the group
-(``new``), or per agent the sequential chain (``sequence``) or a single-agent
-plan against everything committed so far (``new-single``). The loop goes over
-the group in id order; for each agent it takes the candidate, rationalizes
-it, commits it and extends the committed makespan. Rationalization is the
-paper's one rule, to replace a violating computation by sequential routing:
-in ``new-single`` mode each candidate is capped by the chain after the
-committed makespan, and in ``new`` mode a path the reservation table does not
-admit (or a busted ceiling) makes ``run`` replace the whole group by that
-chain.
+(``new``), the group's sequential chain after the committed makespan
+(``sequence``), or per agent a single-agent plan against everything committed
+so far (``new-single``). The loop goes over the group in id order; for each
+agent it takes the candidate, rationalizes it, commits it and extends the
+committed makespan. Rationalization is the paper's one rule, to replace a
+violating computation by sequential routing: in ``new-single`` mode each
+candidate is capped by the chain after the committed makespan, and in ``new``
+mode a path the reservation table does not admit (or a busted ceiling) makes
+``run`` replace the whole group by that chain.
 
 A custom hook sees a :class:`CustomContext` of the event: the committed
 makespan and the ceilings among other things, all numbers ``run`` already
@@ -45,9 +45,8 @@ Every collision decision inside the loop reads that table
 (:meth:`DynamicObstacleSet.admits`). The final report,
 ``core.detect_conflicts``, builds its own table of the committed plan and
 reads its pairs from it, so it checks the plan without trusting the loop's
-table. Every one-at-a-time route (the ``sequence`` planner, the
-rationalization fallbacks and the ``wasteful`` hook) comes from
-``core.sequential_chain``.
+table. Every one-at-a-time route (the ``sequence`` planner and the
+rationalization fallbacks) comes from ``core.sequential_chain``.
 
 ``run`` also keeps running totals instead of re-evaluating the revealed
 agents at every event. The sequential chain's last arrival and distance sum
@@ -55,11 +54,15 @@ are extended by the new group, which gives exactly
 ``core.rationality_bounds``, since the chain is a left fold in id order. The
 committed flowtime and makespan are extended by the group's paths (by the
 chain's paths after a fallback) and recomputed only after an ``all``-mode
-replan. Each agent's vertices are checked when it is revealed, and once more
-after the last event, when ``run`` builds the final ``OnlineInstance``.
-Outside the planners, an event therefore costs O(size of the new group); the
-snapshot's plan copy (``observe`` is handed the same one), a fallback and an
-``all``-mode replan are the exceptions.
+replan. Outside the planners, an event therefore costs O(size of the new
+group); the snapshot's plan copy (``observe`` is handed the same one), a
+fallback and an ``all``-mode replan are the exceptions.
+
+The trace's plan and metrics are the last snapshot's: ``run`` returns its
+committed plan as it stands and re-evaluates nothing. Each agent's vertices
+are checked when it is revealed, and on purpose once more after the last
+event, when ``run`` builds the final ``OnlineInstance``: that costs O(m) per
+run, and skipping it would need a second constructor path.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from .core import (
     Path,
     Plan,
     build_obstacles,
-    evaluate,
     partition_by_release,
     sequential_chain,
 )
@@ -156,26 +158,6 @@ def rationalize_wrap(policy: OnlinePolicy) -> OnlinePolicy:
     release time: any violating computation is replaced by sequential routing
     of the new group after the previously committed makespan."""
     return replace(policy, rationalized=True)
-
-
-def wasteful_policy() -> OnlinePolicy:
-    """Deliberately irrational: routes each group sequentially but pads the
-    first agent with one more wait than the flowtime ceiling allows, so the
-    unwrapped policy violates the bounds at every release time."""
-
-    def hook(ctx: "CustomContext") -> Plan:
-        slack = ctx.bounds[0] + 1
-        after = max(ctx.time, ctx.makespan)
-        # The chain runs slack steps late; the first agent waits them out at its start.
-        paths: Plan = {}
-        for agent, start, _ in sequential_chain(ctx.graph, ctx.new_agents, after + slack):
-            path = _chain_path(ctx.graph, agent, start)
-            if not paths:
-                path = Path(start - slack, (agent.start,) * slack + path.vertices)
-            paths[agent.id] = path
-        return paths
-
-    return custom_policy(hook, mode="new", label="wasteful")
 
 
 def replay_policy(plan: Plan, label: str = "replay-optimal") -> OnlinePolicy:
@@ -321,7 +303,7 @@ def run(source: RevealSource, policy: OnlinePolicy,
             # before the event is the previous snapshot's.
             committed.clear()
             committed.update(trace_snapshots[-1].plan if trace_snapshots else {})
-            for agent, start, _ in sequential_chain(graph, new_agents, max(time_k, prev_makespan)):
+            for agent, start, _ in sequential_chain(graph, new_agents, prev_makespan):
                 committed[agent.id] = _chain_path(graph, agent, start)
             flowtime, makespan = _costs(committed, new_agents, prev_flowtime, prev_makespan)
             obstacles = build_obstacles(committed)
@@ -330,10 +312,12 @@ def run(source: RevealSource, policy: OnlinePolicy,
                                         bounds, fallback))
         source.observe(time_k, trace_snapshots[-1].plan)
 
+    if not trace_snapshots:
+        raise ValueError("the source revealed no agents")
     instance = OnlineInstance(graph, tuple(revealed))
-    metrics = evaluate(committed, range(1, len(revealed) + 1), instance)
     conflicts = core.detect_conflicts(committed)
-    return SimulationTrace(policy, instance, trace_snapshots, dict(committed), metrics, conflicts)
+    return SimulationTrace(policy, instance, trace_snapshots, committed,
+                           trace_snapshots[-1].metrics, conflicts)
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +355,16 @@ def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, polic
     elif policy.mode == "new":
         produced = offline_optimal(graph, new_agents, frozen=obstacles, objective=policy.objective,
                                    node_budget=node_budget, fixed_makespan=makespan)
+    elif policy.planner == "sequence":
+        produced = {agent.id: _chain_path(graph, agent, start)
+                    for agent, start, _ in sequential_chain(graph, new_agents, makespan)}
     capped = policy.rationalized and policy.mode == "new-single"
     clashed = False
     for agent in new_agents:
-        if capped or policy.planner == "sequence":
+        if capped:
             # The sequential chain after every committed arrival.
             _, start, arrival = next(sequential_chain(graph, (agent,), makespan))
-        if policy.planner == "sequence":
-            path = _chain_path(graph, agent, start)
-        elif produced is None:
+        if produced is None:
             path = plan_min_arrival(graph, agent, obstacles, node_budget)
         else:
             path = produced[agent.id]

@@ -1,10 +1,11 @@
-"""Independent references the test modules share: a seeded graph generator
-and brute-force oracles that do not use the planners they check."""
+"""Independent references the test modules share: a seeded graph generator,
+brute-force oracles that do not use the planners they check, and a
+deliberately irrational online policy."""
 
 import itertools
 
-from onmapf import satisfies
-from onmapf.world import build_graph
+from onmapf import Path, custom_policy, sequential_chain
+from onmapf.world import build_graph, shortest_path_lex
 
 
 def random_connected_graph(rng, n):
@@ -72,3 +73,30 @@ def brute_force_assignment(sat):
         if satisfies(sat, assignment):
             return assignment
     return None
+
+
+def satisfies(sat, assignment):
+    """Does the truth assignment (variable -> bool) satisfy every clause?"""
+    return all(
+        any(assignment[abs(lit)] == (lit > 0) for lit in clause) for clause in sat.clauses
+    )
+
+
+def wasteful_policy():
+    """Deliberately irrational: routes each group sequentially but pads the
+    first agent with one more wait than the flowtime ceiling allows, so the
+    unwrapped policy violates the bounds at every release time."""
+
+    def hook(ctx):
+        slack = ctx.bounds[0] + 1
+        after = max(ctx.time, ctx.makespan)
+        # The chain runs slack steps late; the first agent waits them out at its start.
+        paths = {}
+        for agent, start, _ in sequential_chain(ctx.graph, ctx.new_agents, after + slack):
+            vertices = shortest_path_lex(ctx.graph, agent.start, agent.goal)
+            if not paths:
+                start, vertices = start - slack, (agent.start,) * slack + vertices
+            paths[agent.id] = Path(start, vertices)
+        return paths
+
+    return custom_policy(hook, mode="new", label="wasteful")

@@ -33,12 +33,10 @@ from onmapf import (
     rationalize_wrap,
     reduce_sat,
     run,
-    satisfies,
     sequence_policy,
 )
 from onmapf.adversary import RandomSpec
 from onmapf.errors import DisconnectedWorld, EmptyWorld
-from onmapf.online import wasteful_policy
 from onmapf.core import Path
 
 from references import (
@@ -46,6 +44,8 @@ from references import (
     min_arrival_oracle,
     random_connected_graph,
     reservation_horizon,
+    satisfies,
+    wasteful_policy,
 )
 
 OPT_RATIONAL_POLICIES = [

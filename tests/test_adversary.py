@@ -22,12 +22,11 @@ from onmapf import (
     offline_optimal,
     parse_dimacs,
     reduce_sat,
-    satisfies,
 )
 from onmapf.adversary import RandomSpec, dump_dimacs
 from onmapf.errors import DisconnectedWorld, EmptyWorld
 
-from references import brute_force_assignment
+from references import brute_force_assignment, satisfies
 
 
 # ---------------------------------------------------------------------------

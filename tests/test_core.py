@@ -234,6 +234,20 @@ def test_evaluate_single_agent_and_missing():
         evaluate({}, [1], inst)
 
 
+def test_agent_ids_outside_1_to_m_are_refused():
+    inst = line_instance(4)
+    for bad in (0, -1, 5):
+        with pytest.raises(ValueError, match=f"^agent id {bad} out of range 1..4$"):
+            inst.agent(bad)
+    assert inst.agent(1).id == 1 and inst.agent(4).id == 4
+
+
+def test_evaluate_rejects_agent_id_0():
+    inst = line_instance(4)
+    with pytest.raises(ValueError, match="agent id 0 out of range"):
+        evaluate({0: Path(0, (0, 1, 2, 3, 4))}, [0], inst)
+
+
 def test_evaluate_2x2_rational_outcome():
     g = build_grid(2, 2)
     inst = OnlineInstance(g, (Agent(1, 0, 3, 0), Agent(2, 1, 0, 1)))

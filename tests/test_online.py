@@ -32,7 +32,9 @@ from onmapf import (
 from onmapf.adversary import RandomSpec, line_closed_forms
 from onmapf.errors import DisconnectedWorld, EmptyWorld
 from onmapf import online
-from onmapf.online import replay_policy, wasteful_policy
+from onmapf.online import replay_policy
+
+from references import wasteful_policy
 
 ALL_OPT_RATIONAL = [
     opt_rational(mode, objective)
@@ -347,6 +349,7 @@ def test_snapshots_match_evaluate_and_rationality_bounds():
                 assert snap.bounds == rationality_bounds(inst, snap.k), policy.name
                 fallbacks += snap.fallback
             assert trace.metrics == trace.snapshots[-1].metrics
+            assert trace.plan == trace.snapshots[-1].plan
     assert fallbacks > 0  # the fallback's totals are covered too
 
 
@@ -425,6 +428,14 @@ def test_source_breaking_the_reveal_protocol_is_refused(events, message):
     with pytest.raises(ProtocolViolation, match=f"^{message}$"):
         run(source, sequence_policy())
     assert source.observed == [t for t, _ in events[:-1]]
+
+
+def test_source_that_reveals_no_agents_is_refused():
+    spent = gen_2x2_adversary()
+    run(spent, sequence_policy())
+    for source in (ScriptedSource(build_grid(1, 3), []), spent):
+        with pytest.raises(ValueError, match="^the source revealed no agents$"):
+            run(source, sequence_policy())
 
 
 def test_hook_context_holds_committed_makespan_and_event_bounds():
