@@ -294,9 +294,12 @@ def cmd_validate(args: argparse.Namespace) -> None:
 
 def _write_files(out_dir: str, files: dict[str, str]) -> None:
     directory = FilePath(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (directory / name).write_text(text)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (directory / name).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
     print(f"wrote {', '.join(files)} to {directory}")
 
 

@@ -121,11 +121,14 @@ def validate_agent(agent: Agent, graph: Graph) -> None:
 
 
 def validate_path(path: Path, agent: Agent, graph: Graph) -> None:
-    """Check a path against its agent: endpoints, release, adjacency."""
+    """Check a path against its agent: endpoints, release, adjacency, and
+    no goal before the last vertex (an agent is removed on arrival)."""
     if path.vertices[0] != agent.start:
         raise ValueError(f"agent {agent.id}: path must begin at its start vertex")
     if path.vertices[-1] != agent.goal:
         raise ValueError(f"agent {agent.id}: path must end at its goal vertex")
+    if agent.goal in path.vertices[:-1]:
+        raise ValueError(f"agent {agent.id}: path reaches its goal before its last vertex")
     if path.start_time < agent.release:
         raise ValueError(f"agent {agent.id}: path starts before its release time")
     for j in range(len(path.vertices) - 1):

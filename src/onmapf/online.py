@@ -345,7 +345,7 @@ def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, polic
     rationalized ``new``-mode group has a path the reservation table does not
     admit. ``makespan`` is the latest committed arrival before the event."""
     if policy.mode == "all":
-        _replan_all(committed, graph, revealed, new_agents, time_k, policy, node_budget)
+        _replan_all(committed, graph, revealed, time_k, policy, node_budget)
         return False
     produced = None
     if policy.planner == "custom":
@@ -385,25 +385,22 @@ def _plan_event(committed, obstacles, graph, revealed, new_agents, time_k, polic
     return clashed
 
 
-def _replan_all(committed, graph, revealed, new_agents, time_k, policy, node_budget):
+def _replan_all(committed, graph, revealed, time_k, policy, node_budget):
     """Replan every revealed agent's future from time_k on."""
     tasks = []
     prefixes = {}
     fixed_makespan = 0
-    # The new group holds the highest ids, so the tasks are in id order, the
-    # order joint_plan takes them in.
-    for agent in revealed[:len(revealed) - len(new_agents)]:
+    # Agents are revealed in id order, the order joint_plan takes them in.
+    for agent in revealed:
         aid = agent.id
-        path = committed[aid]
-        if path.arrival_time <= time_k:
+        path = committed.get(aid)  # None for the new group
+        if path is None or path.start_time > time_k:
+            tasks.append(JointTask(aid, agent.goal, agent.release, entry=agent.start))
+        elif path.arrival_time <= time_k:
             fixed_makespan = max(fixed_makespan, path.arrival_time)
-        elif path.start_time <= time_k:
+        else:
             tasks.append(JointTask(aid, agent.goal, agent.release, current=path.position(time_k)))
             prefixes[aid] = path
-        else:
-            tasks.append(JointTask(aid, agent.goal, agent.release, entry=agent.start))
-    for agent in new_agents:
-        tasks.append(JointTask(agent.id, agent.goal, agent.release, entry=agent.start))
     sub = joint_plan(graph, tasks, policy.objective, start_time=time_k, node_budget=node_budget,
                      fixed_makespan=fixed_makespan)
     for aid, suffix in sub.items():

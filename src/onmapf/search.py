@@ -18,8 +18,8 @@ states reached in cost order, not 2^k roots built before the first pop.
 
 A state keeps only what cannot be derived: its two cost bounds, its depth,
 its history, its configuration and its pending swap moves. The time and the
-agent to move follow from the depth, and one option generator serves the
-entry layer and every later layer alike.
+agent to move follow from the depth, and one option generator and one child
+rule serve the entry layer and every later layer alike.
 
 Many searches never touch the heap. No child's cost bounds fall below its
 parent's, and every state on the heap follows the one being expanded, so the
@@ -36,15 +36,15 @@ from the heap.
 
 The search is exact and fully deterministic. It breaks ties by the secondary
 objective (makespan under flowtime and vice versa), then toward the deeper
-state (more tokens in its history, so across a plateau of equal cost it runs
+state (more turns taken, so across a plateau of equal cost it runs
 depth-first to a goal), then by the lexicographically smallest configuration
-history. The history is one integer, a digit per token, whose numeric order
-among histories of one depth is that lexicographic order, so a push appends
-a digit rather than copying the history. Heuristics are exact graph
-distances wherever the search reads them (a goal's map grows where a read
-misses, see ``joint_plan``), and a state is closed only on a key that
-fixes the cost of every completion, so reported optima are exact, not
-approximate.
+history. The history is one integer, a digit per token the search chose,
+whose numeric order among histories of one depth is that lexicographic
+order, so a push appends a digit rather than copying the history.
+Heuristics are exact graph distances wherever the search reads them (a
+goal's map grows where a read misses, see ``joint_plan``), and a state is
+closed only on a key that fixes the cost of every completion, so reported
+optima are exact, not approximate.
 """
 
 from __future__ import annotations
@@ -154,24 +154,28 @@ def joint_plan(
 
     One A* pass per objective over heap entries (f1, f2, -depth, history,
     configuration, swaps). (f1, f2) is (flowtime, makespan) under flowtime,
-    (makespan, flowtime) under makespan. Depth counts the history's tokens:
-    each layer, from t0 - 1 on, moves the agents in id order, one token each,
-    so divmod(depth, n) is (t - (t0 - 1), j), j the agent to move. Swaps are
+    (makespan, flowtime) under makespan. Depth counts the turns taken: each
+    layer, from t0 - 1 on, gives the agents a turn each in id order (the
+    entry layer passes over those that do not choose, see below), so
+    divmod(depth, n) is (t - (t0 - 1), j), j the agent to move. Swaps are
     this layer's moves into vertices that agents still to move hold (a move
     u->v forbids v->u to the agent at v), filtered when a state is pushed.
 
     On a plateau of equal cost the deeper state pops first. The history is
-    an integer in base |V| + 2 with one digit, token + 2, per token (DONE 0,
-    PENDING 1, vertex v v + 2); at equal depth its numeric order is the
-    lexicographic order of the token sequences. A state is closed on a key
-    that fixes the cost of every completion, so the first path to reach it
-    dominates later ones and the first plan popped is the minimum of that
-    order. The key is the depth, the configuration and the swaps, plus, under
-    makespan, the makespan lower bound (realized arrivals and arrival
-    floors): paths that agree on it get the same makespan in every
-    completion, so less flowtime, then the smaller history, wins. Paths that
-    share a key share their depth, so the depth term changes only which of
-    the equal-cost plans is popped first, never its cost.
+    an integer in base |V| + 2 with one digit, token + 2, per token the
+    search chose (DONE 0, PENDING 1, vertex v v + 2). The t0 tokens of the
+    agents that do not choose in the entry layer are the root's in every
+    state and stay out, so histories of one depth have equal length and
+    their numeric order is the lexicographic order of the token sequences.
+    A state is closed on a key that fixes the cost of every completion, so
+    the first path to reach it dominates later ones and the first plan
+    popped is the minimum of that order. The key is the depth, the
+    configuration and the swaps, plus, under makespan, the makespan lower
+    bound (realized arrivals and arrival floors): paths that agree on it get
+    the same makespan in every completion, so less flowtime, then the
+    smaller history, wins. Paths that share a key share their depth, so the
+    depth term changes only which of the equal-cost plans is popped first,
+    never its cost.
 
     The flowtime lower bound is the steps accrued so far plus, per agent,
     rho, the fewest steps it still accrues. Agent j's move takes its old rho
@@ -219,10 +223,9 @@ def joint_plan(
     released by t0, no frozen walk holds its entry at t0, and no agent after
     it does (current agents are excluded, later choosers are still pending),
     so its options are those of a pending agent in any layer: keep waiting,
-    or enter unless an agent before it holds the entry. Only the child
-    differs: it goes to the next chooser's turn, or to the layer at t0 after
-    the last one, and its history is the configuration at t0 of the agents
-    before that turn, as a root would start it.
+    or enter unless an agent before it holds the entry. Its child appends
+    its token like any other, and goes to the next chooser's turn, or to the
+    layer at t0 after the last one.
     """
     if objective not in ("flowtime", "makespan"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -242,7 +245,7 @@ def joint_plan(
     # entry layer, to enter at t0 or to keep waiting; until then it counts as
     # entering, the cheaper choice. Every other agent has one choice.
     currents = {task.current for task in tasks}
-    dist_maps, releases, entries, entry_dist = [], [], [], []
+    dist_maps, releases, entries = [], [], []
     root = []
     choosers = []  # agents that choose in the entry layer, in id order
     flow, make_lb = 0, fixed_makespan
@@ -252,12 +255,10 @@ def joint_plan(
         releases.append(release)
         entries.append(s)
         if s is None:
-            entry_dist.append(None)
             d = dist[current]
             token, rho, floor = current, d, t0 + d
         else:
             d = dist[s]
-            entry_dist.append(d)
             token, rho, floor = PENDING, d, max(release, t0) + d
             if release <= t0:
                 if s in currents or (s, t0) in vertex_res:
@@ -271,21 +272,12 @@ def joint_plan(
     # The chooser after each chooser (after -1: the first; after the last: n).
     next_chooser = dict(zip([-1] + choosers, choosers + [n]))
 
-    base = graph.vertex_count + 2  # histories: one digit, token + 2, per token
+    base = graph.vertex_count + 2  # histories: one digit, token + 2, per chosen token
 
-    def entry_layer_state(f1, f2, pos, nj):
-        """Heap entry of a state after the entry-layer choices of agents < nj:
-        chooser nj's turn, or the movement layer at t0 once nj == n. Its
-        history is the t0 tokens of agents < nj, so its depth is nj."""
-        hist = 0
-        for token in pos[:nj]:
-            hist = hist * base + token + 2
-        return (f1, f2, -nj, hist, pos, ())
-
-    # No two entries share a history, so (f1, f2, -depth, history) orders
-    # them totally and fixes the pop order.
+    # Entries that share a depth differ in history, so (f1, f2, -depth,
+    # history) orders all totally. The root has chosen nothing: history 0.
     f1, f2 = (flow, make_lb) if flow_primary else (make_lb, flow)
-    root_state = state = entry_layer_state(f1, f2, tuple(root), next_chooser[-1])
+    root_state = state = (f1, f2, -next_chooser[-1], 0, tuple(root), ())
 
     # All-mode replans and offline solves pass empty tables: each probe
     # below tests the table before building its key.
@@ -306,7 +298,7 @@ def joint_plan(
             raise BudgetExhausted(f"joint search exceeded {node_budget} pops")
         depth = -neg_depth
         if pos == finished:
-            return _reconstruct(hist, depth, base, tasks, t0)
+            return _reconstruct(hist, depth, base, tasks, t0, root, choosers)
         if not descending:  # the chain grows deeper: none of its states was closed before
             size = len(closed)
             closed.add((depth, pos, swaps) if flow_primary else (depth, pos, swaps, f1))
@@ -316,7 +308,6 @@ def joint_plan(
         flow, make_lb = (f1, f2) if flow_primary else (f2, f1)
         t, j = divmod(depth, n)
         t += t0 - 1
-        entering = t < t0  # the entry layer: j is a chooser
         nt = t + 1
         token = pos[j]
         before, after = pos[:j], pos[j + 1:]  # tokens are negative, never a vertex
@@ -331,12 +322,12 @@ def joint_plan(
             rest = flow
             options.append((DONE, None, 0, make_lb))
         elif token == PENDING:
-            d = entry_dist[j]
+            s = entries[j]
+            d = dist[s]  # labeled: a read miss labels a larger ball afresh
             rest = flow - d
             if releases[j] <= nt:
                 if not descending:  # a released agent's wait adds a flowtime step
                     options.append((PENDING, None, 1 + d, nt + 1 + d))
-                s = entries[j]
                 if s not in before and not (vertex_res and (s, nt) in vertex_res):
                     options.append((s, None, d, nt + d))
             else:
@@ -368,8 +359,9 @@ def joint_plan(
         # next pop (see the docstring); the others are pushed. A descent
         # has at most one option and pushes nothing: if that option does not
         # keep the bounds, the chain breaks. A child whose token does not
-        # change shares this state's configuration tuple.
-        deeper = neg_depth - 1
+        # change shares this state's configuration tuple. In the entry layer
+        # (t < t0, j a chooser) the child goes to the next chooser's turn.
+        deeper = neg_depth - 1 if t >= t0 else -next_chooser[j]
         shifted = hist * base + 2  # the child's history less its token
         kept = tuple(mv for mv in swaps if mv[1] in after) if swaps else ()
         config = None
@@ -385,11 +377,8 @@ def joint_plan(
                     config = list(pos)
                 config[j] = new_token
                 new_pos = tuple(config)
-            if entering:
-                child = entry_layer_state(nf1, nf2, new_pos, next_chooser[j])
-            else:
-                moves = kept + (edge,) if edge and edge[1] in after else kept
-                child = (nf1, nf2, deeper, shifted + new_token, new_pos, moves)
+            moves = kept + (edge,) if edge and edge[1] in after else kept
+            child = (nf1, nf2, deeper, shifted + new_token, new_pos, moves)
             if flow2 == flow and m2 == make_lb and state is None:
                 state = child
             elif not descending:
@@ -401,19 +390,25 @@ def joint_plan(
     raise BudgetExhausted("joint search found no conflict-free plan")
 
 
-def _reconstruct(hist, depth, base, tasks, t0) -> Plan:
+def _reconstruct(hist, depth, base, tasks, t0, root, choosers) -> Plan:
     """Turn the integer history back into one Path per task.
 
-    ``hist`` holds ``depth`` digits in ``base``, one token + 2 per (layer,
-    agent) in agent order; trailing tokens of the final partial layer are all
-    DONE and may be missing.
+    ``hist`` holds one digit in ``base``, token + 2, per token the search
+    chose: each chooser's token at t0, then one per (layer, agent) in agent
+    order from the layer at t0 on; trailing tokens of the final partial layer
+    are all DONE and may be missing. Every other agent's token at t0 is its
+    ``root`` token.
     """
+    n = len(tasks)
     digits = []
-    for _ in range(depth):
+    for _ in range(depth - n + len(choosers)):
         hist, digit = divmod(hist, base)
         digits.append(digit - 2)
-    tokens = tuple(reversed(digits))
-    n = len(tasks)
+    digits.reverse()
+    row = list(root)  # the configuration at t0
+    for idx, token in zip(choosers, digits):
+        row[idx] = token
+    tokens = tuple(row + digits[len(choosers):])
     plan: Plan = {}
     for idx, task in enumerate(tasks):
         column = tokens[idx::n]

@@ -146,6 +146,21 @@ def test_sweep_without_family_writes_to_out(tmp_path, capsys):
     assert "wrote sweep.csv" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verb", ["solve", "sweep", "reduce-sat"])
+def test_out_that_cannot_be_a_directory_is_a_configuration_error(verb, tmp_path, capsys):
+    # An --out naming a file, or a path under one, is reported, not raised.
+    taken = write(tmp_path, "taken", "")
+    out = taken if verb != "sweep" else taken + "/x"
+    argv = {
+        "solve": ["solve", "--family", "line", "--m", "4"],
+        "sweep": ["sweep", "--m-list", "2"],
+        "reduce-sat": ["reduce-sat", "--cnf", write(tmp_path, "sat2.cnf", CNF_SAT2)],
+    }[verb]
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and err.count("\n") == 1
+
+
 def test_sweep_empty_policy_list(capsys):
     assert main(["sweep", "--m-list", "2,4", "--policies", ""]) == 0
     out = capsys.readouterr().out

@@ -81,6 +81,16 @@ def test_sitting_on_anothers_goal_at_arrival_is_fine():
     assert detect_conflicts(plan) == []
 
 
+def test_path_through_its_goal_is_invalid():
+    # The agent is removed on reaching vertex 1 at t = 1; its path may not
+    # go on to 2 and come back.
+    g = build_grid(1, 3)
+    agent = Agent(1, 0, 1, 0)
+    validate_path(Path(0, (0, 1)), agent, g)
+    with pytest.raises(ValueError, match="^agent 1: path reaches its goal before its last vertex$"):
+        validate_path(Path(0, (0, 1, 2, 1)), agent, g)
+
+
 def test_vertex_conflict_detected():
     plan = {1: Path(0, (0, 1, 2)), 2: Path(0, (2, 1, 0))}
     kinds = {c.kind for c in detect_conflicts(plan)}

@@ -313,6 +313,18 @@ def test_custom_hook_validation():
         run(InstanceSource(inst), custom_policy(wrong_endpoint))
 
 
+def test_custom_hook_passing_its_goal_is_refused():
+    # Arriving at 1, the agent is gone: a path that goes on to 2 and back
+    # would be committed with flowtime 3 and no conflict.
+    inst = OnlineInstance(build_grid(1, 3), (Agent(1, 0, 1, 0),))
+
+    def through_goal(ctx):
+        return {1: Path(0, (0, 1, 2, 1))}
+
+    with pytest.raises(ValueError, match="reaches its goal before its last vertex"):
+        run(InstanceSource(inst), custom_policy(through_goal))
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         opt_rational("everything", "flowtime")

@@ -553,6 +553,34 @@ def test_entry_layer_pop_budget_boundary(name, objective, budget):
         offline_optimal(graph, agents, frozen, objective, node_budget=budget - 1)
 
 
+_ENTRY_LAYER_PLANS = {
+    # Agent 2 enters at 1, once the frozen walk leaves its entry, and steps
+    # back to let agent 1 through; agent 3 enters 2 steps after its release.
+    "held-entry": {
+        1: Path(0, (0, 1, 2, 3, 4)), 2: Path(1, (4, 3, 4, 4, 3, 2, 1, 0)),
+        3: Path(3, (2, 1, 0)), 4: Path(0, (1, 2, 3)),
+    },
+    # Every agent enters at 0; agent 10 alone waits a step on the way.
+    "n3-unsat": {
+        1: Path(0, (1, 2, 0, 5)), 2: Path(0, (6, 8, 9, 10)), 3: Path(0, (12, 14, 15, 16)),
+        4: Path(0, (17, 18, 11, 21)), 5: Path(0, (23, 25, 26, 27)),
+        6: Path(0, (28, 29, 22, 32)), 7: Path(0, (33, 3, 35, 34)),
+        8: Path(0, (36, 19, 38, 37)), 9: Path(0, (39, 41, 4, 40)),
+        10: Path(0, (43, 45, 45, 15, 44)), 11: Path(0, (46, 30, 48, 47)),
+        12: Path(0, (49, 51, 31, 50)),
+    },
+}
+
+
+@pytest.mark.parametrize("objective", ["flowtime", "makespan"])
+@pytest.mark.parametrize("name", ["held-entry", "n3-unsat"])
+def test_entry_layer_plans(name, objective):
+    # The exact plans, not only their cost: among equal-cost plans the
+    # search's tie-breaking picks these under both objectives.
+    graph, agents, frozen = _entry_layer_instance(name)
+    assert offline_optimal(graph, agents, frozen, objective) == _ENTRY_LAYER_PLANS[name]
+
+
 @pytest.mark.parametrize("name, mode, objective, budget", [
     ("line-8", "new-single", "flowtime", 480), ("line-8", "new-single", "makespan", 480),
     ("line-8", "new", "flowtime", 480), ("line-8", "new", "makespan", 480),
