@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Agent, OnlineInstance, Plan
+from .core import Agent, OnlineInstance, Plan, plan_costs
 from .errors import (
     EmptyWorld,
     MalformedSat,
@@ -21,7 +21,6 @@ from .errors import (
     OddM,
     ParseError,
     ProtocolViolation,
-    UnplannedAgent,
 )
 from .online import RevealSource
 from .world import Graph, build_graph, build_grid, shortest_dist
@@ -163,7 +162,7 @@ class SatInstance:
 
 
 def parse_dimacs(text: str, source: str = "<cnf>") -> SatInstance:
-    """DIMACS CNF: ``p cnf N M`` header, clauses as 0-terminated literal runs."""
+    """DIMACS CNF: one ``p cnf N M`` header, clauses as 0-terminated literal runs."""
     n = m = None
     literals: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -171,6 +170,8 @@ def parse_dimacs(text: str, source: str = "<cnf>") -> SatInstance:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n is not None:
+                raise ParseError("second 'p cnf' header", source, lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("expected 'p cnf N M' header", source, lineno)
@@ -284,12 +285,10 @@ def reduce_sat(sat: SatInstance) -> ReductionOutput:
                 if b is None:
                     b = vertex(f"b_{j}")
                 routes.append((c, w_vertex[key], b, d))
-            elif count == 1:
+            else:  # the second: each variable occurs 3 times, in both polarities
                 if alpha is None:
                     alpha = vertex(f"alpha_{j}")
                 routes.append((c, alpha, x_vertex[key], d))
-            else:
-                raise MalformedSat(f"literal {lit} occurs in more than two clauses")
         agent_id = len(agents) + 1
         agents.append(Agent(agent_id, c, d, 0))
         agent_labels[agent_id] = f"clause_{j}"
@@ -324,12 +323,7 @@ def decode_assignment(out: ReductionOutput, plan: Plan) -> dict[int, bool]:
     """Read a satisfying assignment off a makespan-3 plan: a literal is True
     exactly when its agent used the shared route; two private routes default
     the variable to True."""
-    makespan = 0
-    for agent in out.instance.agents:
-        path = plan.get(agent.id)
-        if path is None:
-            raise UnplannedAgent(f"agent {agent.id} has no path")
-        makespan = max(makespan, path.arrival_time)
+    _, makespan = plan_costs(plan, out.instance.agents)
     if makespan != 3:
         raise NotMakespanThree(f"plan has makespan {makespan}, need exactly 3")
 

@@ -71,8 +71,10 @@ def _source_kind(args: argparse.Namespace) -> str:
 
 
 def _load_graph(args: argparse.Namespace):
-    """The ``--map`` (preferred) or ``--graph`` world, with the keyword that
-    scenario parsing needs for it; returns (path, graph, scenario kwargs)."""
+    """The ``--map`` or ``--graph`` world, with the keyword that scenario
+    parsing needs for it; returns (path, graph, scenario kwargs)."""
+    if args.map and args.graph:
+        raise ConfigError("give either --map or --graph, not both")
     if args.map:
         grid = world.load_map(_read(args.map), args.map)
         return args.map, grid.to_graph(), {"grid": grid}

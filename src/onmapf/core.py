@@ -256,22 +256,25 @@ class Metrics:
     latency: int
 
 
+def plan_costs(plan: Plan, agents, flowtime: int = 0, makespan: int = 0) -> tuple[int, int]:
+    """Flowtime and makespan of the agents' paths in ``plan``, added to the
+    given totals: the one place a plan's costs are summed."""
+    for agent in agents:
+        path = plan.get(agent.id)
+        if path is None:
+            raise UnplannedAgent(f"agent {agent.id} has no path")
+        flowtime += path.arrival_time - agent.release
+        makespan = max(makespan, path.arrival_time)
+    return flowtime, makespan
+
+
 def evaluate(plan: Plan, agent_ids, inst: OnlineInstance) -> Metrics:
     """Flowtime, makespan and latency of the plan restricted to the given agents."""
     agent_ids = sorted(agent_ids)
     if not agent_ids:
         raise ValueError("cannot evaluate an empty agent set")
-    flowtime = 0
-    makespan = 0
-    dist_sum = 0
-    for i in agent_ids:
-        path = plan.get(i)
-        if path is None:
-            raise UnplannedAgent(f"agent {i} has no path")
-        agent = inst.agent(i)
-        flowtime += path.arrival_time - agent.release
-        makespan = max(makespan, path.arrival_time)
-        dist_sum += inst.dist(i)
+    flowtime, makespan = plan_costs(plan, [inst.agent(i) for i in agent_ids])
+    dist_sum = sum(inst.dist(i) for i in agent_ids)
     return Metrics(flowtime, makespan, flowtime - dist_sum)
 
 

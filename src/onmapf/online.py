@@ -54,9 +54,10 @@ are extended by the new group, which gives exactly
 ``core.rationality_bounds``, since the chain is a left fold in id order. The
 committed flowtime and makespan are extended by the group's paths (by the
 chain's paths after a fallback) and recomputed only after an ``all``-mode
-replan. Outside the planners, an event therefore costs O(size of the new
-group); the snapshot's plan copy (``observe`` is handed the same one), a
-fallback and an ``all``-mode replan are the exceptions.
+replan, both by ``core.plan_costs``, the sum ``core.evaluate`` makes too.
+Outside the planners, an event therefore costs O(size of the new group);
+the snapshot's plan copy (``observe`` is handed the same one), a fallback
+and an ``all``-mode replan are the exceptions.
 
 The trace's plan and metrics are the last snapshot's: ``run`` returns its
 committed plan as it stands and re-evaluates nothing. Each agent's vertices
@@ -79,6 +80,7 @@ from .core import (
     Plan,
     build_obstacles,
     partition_by_release,
+    plan_costs,
     sequential_chain,
 )
 from .errors import ProtocolViolation
@@ -293,9 +295,9 @@ def run(source: RevealSource, policy: OnlinePolicy,
                               node_budget, prev_makespan, bounds)
 
         if policy.mode == "all":
-            flowtime, makespan = _costs(committed, revealed)
+            flowtime, makespan = plan_costs(committed, revealed)
         else:
-            flowtime, makespan = _costs(committed, new_agents, prev_flowtime, prev_makespan)
+            flowtime, makespan = plan_costs(committed, new_agents, prev_flowtime, prev_makespan)
         fallback = may_fall_back and (clashed or flowtime > bounds[0] or makespan > bounds[1])
         if fallback:
             # Replace the group by the sequential chain after every committed
@@ -305,7 +307,7 @@ def run(source: RevealSource, policy: OnlinePolicy,
             committed.update(trace_snapshots[-1].plan if trace_snapshots else {})
             for agent, start, _ in sequential_chain(graph, new_agents, prev_makespan):
                 committed[agent.id] = _chain_path(graph, agent, start)
-            flowtime, makespan = _costs(committed, new_agents, prev_flowtime, prev_makespan)
+            flowtime, makespan = plan_costs(committed, new_agents, prev_flowtime, prev_makespan)
             obstacles = build_obstacles(committed)
         metrics = Metrics(flowtime, makespan, flowtime - dist_sum)
         trace_snapshots.append(Snapshot(len(trace_snapshots) + 1, time_k, dict(committed), metrics,
@@ -322,16 +324,6 @@ def run(source: RevealSource, policy: OnlinePolicy,
 
 # ---------------------------------------------------------------------------
 # per-event planning
-
-
-def _costs(plan, agents, flowtime=0, makespan=0):
-    """Flowtime and makespan of the agents' paths in ``plan``, added to the
-    given totals."""
-    for agent in agents:
-        path = plan[agent.id]
-        flowtime += path.arrival_time - agent.release
-        makespan = max(makespan, path.arrival_time)
-    return flowtime, makespan
 
 
 def _chain_path(graph, agent, start):

@@ -238,7 +238,8 @@ def shortest_path_lex(graph: Graph, s: int, t: int) -> tuple[int, ...]:
 
 def load_map(text: str, source: str = "<map>") -> GridMap:
     """Parse the grid map format: ``height H`` / ``width W`` / ``map`` / rows
-    of ``.`` (free) and ``@`` (blocked)."""
+    of ``.`` (free) and ``@`` (blocked). The map ends after its H rows: only
+    blank lines may follow."""
     lines = text.splitlines()
 
     def expect(lineno, prefix):
@@ -267,6 +268,9 @@ def load_map(text: str, source: str = "<map>") -> GridMap:
                 blocked.add((r, c))
             elif ch != FREE_CHAR:
                 raise ParseError(f"unexpected map character {ch!r}", source, lineno)
+    for lineno in range(4 + height, len(lines) + 1):
+        if lines[lineno - 1].strip():
+            raise ParseError("text after the last map row", source, lineno)
     return GridMap(height, width, frozenset(blocked))
 
 

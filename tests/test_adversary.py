@@ -12,6 +12,7 @@ from onmapf import (
     Path,
     ProtocolViolation,
     SatInstance,
+    UnplannedAgent,
     decode_assignment,
     detect_conflicts,
     evaluate,
@@ -163,6 +164,7 @@ def test_parse_dimacs_roundtrip_and_errors():
     ("p cnf 2 1\n1 x 0\n", "<cnf>:2: expected an integer literal, got 'x'"),
     ("c only a comment\n\n", "<cnf>:1: missing 'p cnf' header"),
     ("", "<cnf>:1: missing 'p cnf' header"),
+    ("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\np cnf 2 3\n", "<cnf>:5: second 'p cnf' header"),
 ])
 def test_parse_dimacs_header_and_literal_errors(text, message):
     with pytest.raises(ParseError) as excinfo:
@@ -262,6 +264,30 @@ def test_decode_sets_a_variable_with_two_private_routes_true():
     decoded = decode_assignment(out, plan)
     assert decoded == {1: True, 2: False, 3: True}
     assert satisfies(sat, decoded)
+
+
+@pytest.mark.parametrize("agent_id, route, error, message", [
+    (7, None, UnplannedAgent, "agent 7 has no path"),
+    (1, "waits", ValueError, "agent 1 is not on a canonical route"),
+    (2, "shared", ValueError, "variable 1: both literal agents on shared routes"),
+])
+def test_decode_refuses_a_plan_it_cannot_read(agent_id, route, error, message):
+    # The makespan-3 plan of test_decode_reads_shared_routes with one path
+    # dropped or replaced; the makespan stays 3.
+    out = reduce_sat(SAT_N2)
+    plan = {aid: Path(0, (out.shared_paths if aid in (1, 3) else out.private_paths)[aid])
+            for aid in (1, 2, 3, 4)}
+    plan.update({aid: Path(0, out.clause_paths[aid][choice])
+                 for aid, choice in ((5, 0), (6, 1), (7, 0))})
+    assert decode_assignment(out, plan) == {1: True, 2: True}
+    if route is None:
+        del plan[agent_id]
+    elif route == "waits":
+        plan[agent_id] = Path(0, out.shared_paths[agent_id][:1] * 4)
+    else:
+        plan[agent_id] = Path(0, out.shared_paths[agent_id])
+    with pytest.raises(error, match=f"^{message}$"):
+        decode_assignment(out, plan)
 
 
 def test_at_most_one_shared_route_per_variable():

@@ -249,6 +249,36 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == "validation failure: graph is not connected\n"
 
 
+def test_map_with_text_after_its_rows_is_a_parse_error(tmp_path, capsys):
+    long_map = write(tmp_path, "long.map", "height 1\nwidth 3\nmap\n...\n@@@\nxyz\n")
+    assert main(["validate", "--map", long_map]) == 2
+    assert capsys.readouterr().err == f"error: {long_map}:5: text after the last map row\n"
+    blank_tail = write(tmp_path, "tail.map", MAP_1X2 + "\n\n")
+    assert main(["validate", "--map", blank_tail]) == 0
+
+
+@pytest.mark.parametrize("verb", ["solve", "validate"])
+def test_map_and_graph_together_are_a_configuration_error(verb, tmp_path, capsys):
+    map_path = write(tmp_path, "m.map", MAP_1X2)
+    scen = write(tmp_path, "s.scen", SCEN_SINGLE)
+    argv = [verb, "--map", map_path, "--graph", str(tmp_path / "missing.graph"), "--scen", scen]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: give either --map or --graph, not both\n"
+
+
+def test_file_source_refusals(tmp_path, capsys):
+    map_path = write(tmp_path, "m.map", MAP_1X2)
+    assert main(["solve", "--map", map_path]) == 2
+    assert capsys.readouterr().err == "error: file source needs --scen\n"
+    empty = write(tmp_path, "empty.scen", "# no agents\n\n")
+    assert main(["solve", "--map", map_path, "--scen", empty]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: scenario has no agents\n"
+    missing = str(tmp_path / "missing.map")
+    assert main(["validate", "--map", missing]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {missing}: [Errno 2] No such file or directory: '{missing}'\n")
+
+
 def test_config_errors(capsys):
     assert main(["solve", "--family", "line"]) == 2  # missing --m
     assert main(["solve", "--family", "line", "--m", "3"]) == 2  # odd m

@@ -27,12 +27,41 @@ from onmapf import (
 )
 from onmapf.adversary import RandomSpec
 from onmapf.core import Conflict, dump_scenario, load_scenario, plan_to_csv
+from onmapf.core import plan_costs
 from onmapf.errors import ParseError
 from onmapf.world import GridMap
 
 
 def line_instance(m):
     return gen_line(m)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Agent(1, 2, 2, 0), "agent 1: goal must differ from start"),
+    (lambda: Agent(1, 0, 2, -1), "agent 1: release time must be non-negative"),
+    (lambda: OnlineInstance(build_grid(1, 3), (Agent(2, 0, 2, 0),)),
+     "agent ids must be 1..m in order, got 2 at slot 1"),
+    (lambda: OnlineInstance(build_grid(1, 3), (Agent(1, 0, 2, 1), Agent(2, 2, 0, 0))),
+     "agents must be sorted by non-decreasing release time"),
+    (lambda: Path(0, ()), "a path needs at least one vertex"),
+    (lambda: evaluate({}, [], line_instance(2)), "cannot evaluate an empty agent set"),
+    (lambda: rationality_bounds(line_instance(4), 0), "group index 0 out of range 1..4"),
+    (lambda: rationality_bounds(line_instance(4), 5), "group index 5 out of range 1..4"),
+])
+def test_model_refuses_bad_input(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize("path, message", [
+    (Path(1, (1, 2)), "path must begin at its start vertex"),
+    (Path(1, (0, 1)), "path must end at its goal vertex"),
+    (Path(0, (0, 1, 2)), "path starts before its release time"),
+    (Path(1, (0, 2)), "step 0->2 is not an edge"),
+])
+def test_invalid_paths_are_refused(path, message):
+    with pytest.raises(ValueError, match=f"^agent 1: {message}$"):
+        validate_path(path, Agent(1, 0, 2, 1), build_grid(1, 3))
 
 
 def test_partition_line_is_singletons():
@@ -244,6 +273,25 @@ def test_evaluate_single_agent_and_missing():
         evaluate({}, [1], inst)
 
 
+def test_plan_costs_adds_the_agents_paths_to_the_given_totals():
+    inst = line_instance(4)
+    plan = {1: Path(0, (0, 1, 2, 3, 4)), 2: Path(4, (4, 3, 2, 1, 0)),
+            3: Path(8, (0, 1, 2, 3, 4)), 4: Path(12, (4, 3, 2, 1, 0))}
+    assert plan_costs(plan, inst.agents[:2]) == (4 + 7, 8)
+    assert plan_costs(plan, inst.agents[2:], 11, 8) == (34, 16)
+    assert plan_costs(plan, (), 5, 9) == (5, 9)
+    with pytest.raises(UnplannedAgent, match="^agent 3 has no path$"):
+        plan_costs({1: plan[1]}, inst.agents[2:])
+
+
+def test_evaluate_reports_an_out_of_range_id_before_a_missing_path():
+    inst = line_instance(4)
+    with pytest.raises(UnplannedAgent, match="^agent 2 has no path$"):
+        evaluate({1: Path(0, (0, 1, 2, 3, 4))}, [1, 2], inst)
+    with pytest.raises(ValueError, match="^agent id 5 out of range 1..4$"):
+        evaluate({}, [1, 5], inst)
+
+
 def test_agent_ids_outside_1_to_m_are_refused():
     inst = line_instance(4)
     for bad in (0, -1, 5):
@@ -371,6 +419,17 @@ def test_scenario_parse_errors():
     with pytest.raises(ParseError):
         load_scenario("1 5 0 0 1 1\n2 3 1 1 0 0", grid=grid)  # releases decrease
     assert load_scenario("# comment\n\n1 0 0 0 1 1", grid=grid)[0].id == 1
+    graph = grid.to_graph()
+    for text, kwargs, message in (
+        ("1 0 0 0 1 1", {}, "<scen>:1: grid scenario line but no grid map given"),
+        ("1 0 0 3", {"grid": grid}, "<scen>:1: graph scenario line but no graph given"),
+        ("1 0 0 4", {"graph": graph}, "<scen>:1: vertex out of range"),
+        ("1 0 0 1 1", {"grid": grid}, "<scen>:1: expected 4 or 6 whitespace-separated fields"),
+        ("# c\n1 0 1 1 1 1", {"grid": grid}, "<scen>:2: agent 1: goal must differ from start"),
+    ):
+        with pytest.raises(ParseError) as excinfo:
+            load_scenario(text, **kwargs)
+        assert str(excinfo.value) == message
 
 
 def test_plan_csv_golden():

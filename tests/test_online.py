@@ -332,6 +332,14 @@ def test_policy_validation():
         opt_rational("new", "latency")
     with pytest.raises(ValueError):
         custom_policy(lambda ctx: {}, mode="all")
+    for kwargs, message in (
+        ({"mode": "new", "planner": "sequence"}, "the sequence planner plans one agent at a time"),
+        ({"mode": "new", "planner": "custom", "custom": "hook"},
+         "custom policy needs a callable hook"),
+        ({"mode": "new", "planner": "greedy"}, "unknown planner 'greedy'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            online.OnlinePolicy(**kwargs)
 
 
 def shortest_from_release(ctx):

@@ -472,6 +472,13 @@ def test_entry_layer_lets_the_lower_id_enter_first_on_a_shared_start():
         assert (plan[1].arrival_time + plan[2].arrival_time, plan[2].arrival_time) == (5, 3)
 
 
+def test_joint_plan_refuses_an_unknown_objective():
+    graph = build_grid(1, 3)
+    for tasks in ([JointTask(1, 2, 0, entry=0)], []):
+        with pytest.raises(ValueError, match="^unknown objective 'latency'$"):
+            joint_plan(graph, tasks, "latency", start_time=0)
+
+
 def test_makespan_key_holds_the_makespan_bound():
     # Agent 3 sits on its goal, so its arrival floor is below its arrival,
     # and agent 1 arriving in the same layer raises the makespan bound of a

@@ -72,6 +72,16 @@ def test_build_graph_rejects_self_loop_and_range():
         build_graph(2, [(0, 5)])
     with pytest.raises(DisconnectedWorld, match="^graph is not connected$"):
         build_graph(3, [(0, 1)])
+    with pytest.raises(EmptyWorld, match="^graph needs at least one vertex$"):
+        build_graph(0, [])
+
+
+def test_grid_map_refuses_bad_dimensions_and_cells():
+    for height, width in ((0, 3), (3, 0)):
+        with pytest.raises(EmptyWorld, match="^grid dimensions must be positive$"):
+            GridMap(height, width, frozenset())
+    with pytest.raises(InvalidEdge, match=r"^blocked cell \(2, 0\) outside the grid$"):
+        GridMap(2, 2, frozenset({(2, 0)}))
 
 
 def test_graph_size_header_is_checked_before_allocating():
@@ -320,6 +330,18 @@ def test_map_roundtrip_and_errors():
         load_map("h 2\nwidth 3\nmap\n...\n...")
     with pytest.raises(ParseError):
         load_map("height 2\nwidth 3\nmap\n..x\n...")
+    for text, message in (
+        ("height 2\nwidth 3\n", "<map>:3: missing 'map' line"),
+        ("height 0\nwidth 3\nmap\n", "<map>:1: grid dimensions must be positive"),
+        ("height 2\nwidth 3\nmap\n...", "<map>:5: missing map row 1"),
+        ("height 1\nwidth 3\nmap\n...\n@@@\nxyz\n", "<map>:5: text after the last map row"),
+        ("height 1\nwidth 3\nmap\n...\n\n  x\n", "<map>:6: text after the last map row"),
+    ):
+        with pytest.raises(ParseError) as excinfo:
+            load_map(text)
+        assert str(excinfo.value) == message
+    # trailing blank lines are not rows
+    assert load_map("height 1\nwidth 3\nmap\n..@\n\n \t\n") == GridMap(1, 3, frozenset({(0, 2)}))
 
 
 def test_graph_roundtrip_and_errors():
@@ -329,6 +351,11 @@ def test_graph_roundtrip_and_errors():
         load_graph("vertices two\n0 1")
     with pytest.raises(ParseError):
         load_graph("vertices 2\n0 1 2")
+    for text, message in (("", "<graph>:1: empty graph file"),
+                          ("edges 2\n0 1\n", "<graph>:1: expected 'vertices N' header")):
+        with pytest.raises(ParseError) as excinfo:
+            load_graph(text)
+        assert str(excinfo.value) == message
 
 
 def test_graph_format_skips_comments_and_blank_lines():
